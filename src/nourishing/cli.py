@@ -9,8 +9,7 @@ Family parameters mirror the literature's letters as flags (--m, --n, --c,
 --s-size, --r).  Note that ``path --m 3`` is the path of *length* 3, i.e. four
 vertices.  Split adjacency is given as ``--adj "0,1;2"``: semicolon-separated
 clique-neighbor lists, one per independent vertex.  Ranges for `reconcile`
-accept ``LO..HI`` or a single value.  NOURISH_THREADS caps reconcile
-parallelism (default: available cores).
+accept ``LO..HI`` or a single value.
 """
 
 from __future__ import annotations
@@ -21,28 +20,31 @@ import sys
 from pathlib import Path
 
 from nourishing.families import FAMILY_PARAMS, FamilyParameterError, FamilySpec, generate
-from nourishing.graphcore import Graph, max_clique, power
+from nourishing.graphcore import Graph, power
 from nourishing.iasi import Labeling, MissingLabelError, construct_strong_iasi, verify_strong_iasi
 from nourishing.nourish import (
     UNDEFINED,
     acceptance_grid,
     audit_grid,
     default_grid,
+    family_cells,
     formula_kappa,
     oracle_kappa,
     reconcile,
+    reconcile_cell,
     records_to_csv,
     records_to_json,
 )
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+GRIDS = {"default": default_grid, "acceptance": acceptance_grid, "audit": audit_grid}
 
 
 def _add_family_args(parser: argparse.ArgumentParser, ranged: bool = False) -> None:
     kind = str if ranged else int
     hint = " (or LO..HI)" if ranged else ""
-    parser.add_argument("--family", required=True, choices=sorted(FAMILY_PARAMS))
+    parser.add_argument("--family", required=not ranged, choices=sorted(FAMILY_PARAMS))
     parser.add_argument("--m", type=kind, help=f"m parameter{hint}; for path, the path LENGTH")
     parser.add_argument("--n", type=kind, help=f"n parameter{hint}")
     parser.add_argument("--c", type=kind, help=f"clique size for split/ksplit{hint}")
@@ -60,26 +62,37 @@ def _parse_adj(text: str) -> list[tuple[int, ...]]:
         raise FamilyParameterError(f"cannot parse --adj {text!r}: {exc}") from exc
 
 
-def _spec_from_args(args: argparse.Namespace) -> FamilySpec:
-    family = args.family
+def _flag(name: str) -> str:
+    return "--s-size" if name == "s" else f"--{name}"
+
+
+def _family_params(args: argparse.Namespace) -> dict:
     params = {}
-    for name in FAMILY_PARAMS[family]:
+    for name in FAMILY_PARAMS[args.family]:
         value = getattr(args, name, None)
         if value is None:
-            raise FamilyParameterError(f"{family} requires --{name}")
+            raise FamilyParameterError(f"{args.family} requires {_flag(name)}")
         params[name] = value
-    adj = _parse_adj(args.adj) if getattr(args, "adj", None) else []
-    if family == "split" and not adj:
+    return params
+
+
+def _spec_from_args(args: argparse.Namespace) -> FamilySpec:
+    params = _family_params(args)
+    if args.family == "split" and not args.adj:
         raise FamilyParameterError("split requires --adj")
-    return FamilySpec.make(family, adj=adj, **params)
+    return FamilySpec.make(args.family, adj=_parse_adj(args.adj) if args.adj else [], **params)
 
 
-def _parse_range(text: str) -> range:
+def _parse_range(text: str, name: str) -> range:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    v = int(text)
-    return range(v, v + 1)
+        values = range(int(lo), int(hi) + 1)
+    else:
+        v = int(text)
+        values = range(v, v + 1)
+    if not values:
+        raise FamilyParameterError(f"empty range {text!r} for {_flag(name)}")
+    return values
 
 
 def _emit_graph(g: Graph, fmt: str) -> None:
@@ -105,8 +118,7 @@ def cmd_power(args: argparse.Namespace) -> int:
 
 
 def cmd_omega(args: argparse.Namespace) -> int:
-    g = power(generate(_spec_from_args(args)), args.r)
-    witness = max_clique(g)
+    _, witness = oracle_kappa(_spec_from_args(args), args.r)
     if args.format == "json":
         print(json.dumps({"omega": len(witness), "witness": list(witness)}))
     else:
@@ -118,18 +130,16 @@ def cmd_omega(args: argparse.Namespace) -> int:
 def cmd_kappa(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     out: dict = {"family": spec.family, "params": spec.params_str(), "r": args.r}
-    if args.mode in ("formula", "both"):
-        value = formula_kappa(spec, args.r)
-        out["formula"] = UNDEFINED if value is None else value
-    if args.mode in ("oracle", "both"):
-        value, witness = oracle_kappa(spec, args.r)
-        out["oracle"] = value
+    rec = reconcile_cell((spec, args.r)) if args.mode == "both" else None
+    if args.mode != "oracle":
+        formula = rec.formula if rec else formula_kappa(spec, args.r)
+        out["formula"] = UNDEFINED if formula is None else formula
+    if args.mode != "formula":
+        oracle, witness = (rec.oracle, rec.witness) if rec else oracle_kappa(spec, args.r)
+        out["oracle"] = oracle
         out["witness"] = list(witness)
-    if args.mode == "both":
-        if out["formula"] == UNDEFINED:
-            out["status"] = "formula-undefined"
-        else:
-            out["status"] = "agree" if out["formula"] == out["oracle"] else "disagree"
+    if rec:
+        out["status"] = rec.status
     if args.format == "json":
         print(json.dumps(out))
     else:
@@ -164,36 +174,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _reconcile_cells(args: argparse.Namespace) -> list:
     if args.grid:
-        return {"default": default_grid, "acceptance": acceptance_grid, "audit": audit_grid}[
-            args.grid
-        ]()
-    spec_template = args.family
-    if spec_template is None:
+        return GRIDS[args.grid]()
+    if args.family is None:
         raise FamilyParameterError("reconcile needs --grid or --family with ranges")
-    r_range = _parse_range(args.r) if args.r else None
-    if args.family == "split":
-        adj = _parse_adj(args.adj) if args.adj else []
-        spec = FamilySpec.make("split", adj=adj, c=int(args.c))
-        specs = [spec]
-    else:
-        from nourishing.families import family_grid
-
-        ranges = {}
-        for name in FAMILY_PARAMS[args.family]:
-            value = getattr(args, name, None)
-            if value is None:
-                raise FamilyParameterError(f"{args.family} requires --{name}")
-            ranges[name] = _parse_range(value)
-        if r_range is not None:
-            return family_grid(args.family, ranges, r_range)
-        specs = [s for s, _ in family_grid(args.family, ranges, [1])]
-    from nourishing.graphcore import diameter
-
-    cells = []
-    for spec in specs:
-        rs = r_range if r_range is not None else range(1, int(diameter(generate(spec))) + 2)
-        cells.extend((spec, r) for r in rs)
-    return cells
+    ranges = {name: _parse_range(value, name) for name, value in _family_params(args).items()}
+    r_range = _parse_range(args.r, "r") if args.r else None
+    adj = _parse_adj(args.adj) if args.family == "split" and args.adj else ()
+    return family_cells(args.family, ranges, r_range, adj)
 
 
 def cmd_reconcile(args: argparse.Namespace) -> int:
@@ -266,13 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("reconcile", help="formula-vs-oracle reconciliation grid")
-    p.add_argument("--grid", choices=("default", "acceptance", "audit"))
-    p.add_argument("--family", choices=sorted(FAMILY_PARAMS))
-    p.add_argument("--m", help="m range, e.g. 1..5")
-    p.add_argument("--n", help="n range, e.g. 3..8")
-    p.add_argument("--c", help="clique size (split/ksplit)")
-    p.add_argument("--s-size", dest="s", help="independent-set size range (ksplit)")
-    p.add_argument("--adj", help="split adjacency lists")
+    p.add_argument("--grid", choices=tuple(GRIDS))
+    _add_family_args(p, ranged=True)
     p.add_argument("--r", help="power range, e.g. 1..4 (default: 1..diameter+1)")
     p.add_argument("--format", choices=("csv", "json", "table"), default="csv")
     p.add_argument("--expect-golden", help="golden CSV; exit 1 on any deviation")

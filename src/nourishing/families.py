@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from nourishing.graphcore import Graph
 
@@ -32,22 +32,6 @@ from nourishing.graphcore import Graph
 class FamilyParameterError(ValueError):
     """A family parameter violates its bound; the message names the bound."""
 
-
-FAMILY_NAMES = (
-    "path",
-    "cycle",
-    "complete",
-    "kmn",
-    "wheel",
-    "helm",
-    "friendship",
-    "fan",
-    "split",
-    "ksplit",
-    "sun",
-    "csun",
-    "sunlet",
-)
 
 # Parameter names per family, in canonical order.  split additionally
 # carries "adj", the per-independent-vertex clique neighbor lists.
@@ -66,6 +50,7 @@ FAMILY_PARAMS: Mapping[str, tuple[str, ...]] = {
     "csun": ("n",),
     "sunlet": ("n",),
 }
+FAMILY_NAMES = tuple(FAMILY_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -270,10 +255,3 @@ def family_grid(
         generate(spec)  # validate bounds eagerly
         cells.extend((spec, r) for r in rs)
     return cells
-
-
-def iter_specs(family: str, param_ranges: Mapping[str, Sequence[int]]) -> Iterator[FamilySpec]:
-    """Lexicographic specs without an r axis (helper for grid builders)."""
-    for spec, r in family_grid(family, param_ranges, [1]):
-        if r == 1:
-            yield spec

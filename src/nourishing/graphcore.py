@@ -88,8 +88,19 @@ class Graph:
         return json.dumps(self.to_json(), separators=(",", ":"))
 
     @classmethod
-    def from_json(cls, data: dict) -> "Graph":
-        return cls(data["n"], [tuple(e) for e in data["edges"]])
+    def from_json(cls, data: object) -> "Graph":
+        """Parse ``{"n": int, "edges": [[u, v], ...]}``; ValueError says what is malformed."""
+        n = data.get("n") if isinstance(data, dict) else None
+        if type(n) is not int:
+            raise ValueError(f'graph JSON must be an object with an integer "n", got "n": {n!r}')
+        try:
+            edges = [(u, v) for u, v in data.get("edges")]
+        except (TypeError, ValueError):
+            raise ValueError('graph JSON "edges" must be a list of [u, v] pairs') from None
+        try:
+            return cls(n, edges)
+        except TypeError:  # a non-integer endpoint fails a comparison or an index
+            raise ValueError("graph JSON edge endpoints must be integers") from None
 
     def to_dot(self) -> str:
         lines = ["graph G {"]
@@ -139,14 +150,13 @@ def power(g: Graph, r: int) -> Graph:
         raise ValueError(f"power exponent must be >= 1, got {r}")
     if r == 1:
         return g
-    dist = all_pairs_distance(g)
-    edges = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if dist[u][v] <= r
-    ]
-    return Graph(g.n, edges)
+    return distance_graph(all_pairs_distance(g), r)
+
+
+def distance_graph(dist: Sequence[Sequence[float]], r: int) -> Graph:
+    """The graph joining each pair of vertices at distance <= r in ``dist``."""
+    n = len(dist)
+    return Graph(n, [(u, v) for u, row in enumerate(dist) for v in range(u + 1, n) if row[v] <= r])
 
 
 def is_complete(g: Graph) -> bool:

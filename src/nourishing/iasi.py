@@ -72,11 +72,19 @@ class Labeling:
         return {"s": self.label_size, "labels": [a.to_json() for a in self.labels]}
 
     @classmethod
-    def from_json(cls, data: dict) -> "Labeling":
-        return cls(
-            tuple(IntSet.from_json(a) for a in data["labels"]),
-            int(data["s"]),
-        )
+    def from_json(cls, data: object) -> "Labeling":
+        """Parse ``{"s": int, "labels": [[...], ...]}``; ValueError says what is malformed."""
+        s = data.get("s") if isinstance(data, dict) else None
+        if type(s) is not int:
+            raise ValueError(f'labeling JSON must be an object with an integer "s", got "s": {s!r}')
+        try:
+            labels = tuple(IntSet.from_json(a) for a in data["labels"])
+        except (KeyError, TypeError):
+            raise ValueError('labeling JSON "labels" must be a list of integer lists') from None
+        for v, a in enumerate(labels):
+            if len(a) != s:
+                raise ValueError(f'label of vertex {v} has {len(a)} elements, "s" is {s}')
+        return cls(labels, s)
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from itertools import groupby
+from operator import itemgetter
+from typing import Iterable, Mapping, Optional, Sequence
 
 from nourishing.families import FamilySpec, family_grid, generate
-from nourishing.graphcore import diameter, max_clique, power
+from nourishing.graphcore import all_pairs_distance, diameter, distance_graph, max_clique, power
 
 UNDEFINED = "undefined"
 
@@ -124,38 +124,47 @@ def formula_kappa(spec: FamilySpec, r: int) -> Optional[int]:
 
 def oracle_kappa(spec: FamilySpec, r: int) -> tuple[int, tuple[int, ...]]:
     """Exact clique number of the r-th power, with one witness clique."""
-    if r < 1:
-        raise ValueError(f"power exponent must be >= 1, got {r}")
     witness = max_clique(power(generate(spec), r))
     return len(witness), witness
 
 
-def reconcile_cell(cell: tuple[FamilySpec, int]) -> NourishingRecord:
-    spec, r = cell
-    oracle, witness = oracle_kappa(spec, r)
+def _record(spec: FamilySpec, r: int, witness: tuple[int, ...]) -> NourishingRecord:
     formula = formula_kappa(spec, r)
     if formula is None:
         status = "formula-undefined"
     else:
-        status = "agree" if formula == oracle else "disagree"
-    return NourishingRecord(spec, r, formula, oracle, witness, status)
+        status = "agree" if formula == len(witness) else "disagree"
+    return NourishingRecord(spec, r, formula, len(witness), witness, status)
 
 
-def _worker_count() -> int:
-    env = os.environ.get("NOURISH_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+def reconcile_cell(cell: tuple[FamilySpec, int]) -> NourishingRecord:
+    """One cell on its own, through ``oracle_kappa``; the reference for ``reconcile``."""
+    spec, r = cell
+    return _record(spec, r, oracle_kappa(spec, r)[1])
 
 
 def reconcile(cells: Iterable[tuple[FamilySpec, int]]) -> list[NourishingRecord]:
-    """One record per cell, in input order regardless of evaluation order."""
-    cells = list(cells)
-    workers = min(_worker_count(), max(1, len(cells)))
-    if workers == 1:
-        return [reconcile_cell(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(reconcile_cell, cells))
+    """One record per cell, in input order; equal to ``reconcile_cell`` on each cell.
+
+    Each run of consecutive cells with one spec shares its graph and distance
+    matrix.  G^r for r >= the largest distance is complete, so its witness is
+    every vertex; other cells threshold the matrix exactly as ``power`` does
+    and run the same clique search.
+    """
+    records = []
+    for spec, run in groupby(cells, key=itemgetter(0)):
+        g = generate(spec)
+        dist = all_pairs_distance(g)
+        widest = max(map(max, dist))  # INF when disconnected: no power is complete
+        for _, r in run:
+            if r < 1:
+                raise ValueError(f"power exponent must be >= 1, got {r}")
+            if r >= widest:
+                witness = tuple(range(g.n))
+            else:
+                witness = max_clique(g if r == 1 else distance_graph(dist, r))
+            records.append(_record(spec, r, witness))
+    return records
 
 
 CSV_HEADER = ["family", "params", "r", "formula", "oracle", "status", "witness"]
@@ -174,16 +183,29 @@ def records_to_json(records: Sequence[NourishingRecord]) -> str:
     return json.dumps([rec.to_json() for rec in records], indent=2) + "\n"
 
 
-def _r_range_for(spec: FamilySpec) -> range:
-    d = diameter(generate(spec))
-    return range(1, int(d) + 2)
-
-
 def _cells_with_default_r(specs: Iterable[FamilySpec]) -> list[tuple[FamilySpec, int]]:
-    cells = []
-    for spec in specs:
-        cells.extend((spec, r) for r in _r_range_for(spec))
-    return cells
+    return [(spec, r) for spec in specs for r in range(1, int(diameter(generate(spec))) + 2)]
+
+
+def family_cells(
+    family: str,
+    ranges: Mapping[str, Sequence[int]],
+    r_range: Optional[Sequence[int]] = None,
+    adj: Sequence[Sequence[int]] = (),
+) -> list[tuple[FamilySpec, int]]:
+    """Cells of one family over parameter ranges, in lexicographic order.
+
+    Split specs take ``adj`` for every clique size in ``ranges["c"]``.  The
+    exponent runs over ``r_range``, or by default from 1 to each spec's
+    diameter+1.
+    """
+    if family == "split":
+        specs = [FamilySpec.make("split", adj=adj, c=c) for c in ranges["c"]]
+    else:
+        specs = [spec for spec, _ in family_grid(family, ranges, [1])]
+    if r_range is None:
+        return _cells_with_default_r(specs)
+    return [(spec, r) for spec in specs for r in r_range]
 
 
 def split_probe_specs() -> list[FamilySpec]:
@@ -193,7 +215,7 @@ def split_probe_specs() -> list[FamilySpec]:
     (maximal sharing), a dominating independent vertex, and an independent
     vertex adjacent to several but not all clique vertices.
     """
-    probes = [
+    return [
         FamilySpec.make("split", c=1, adj=[(0,)]),
         FamilySpec.make("split", c=1, adj=[(0,), (0,)]),
         FamilySpec.make("split", c=2, adj=[(0,), (0,)]),
@@ -203,7 +225,6 @@ def split_probe_specs() -> list[FamilySpec]:
         FamilySpec.make("split", c=3, adj=[(0, 1), (1, 2), (0,)]),
         FamilySpec.make("split", c=4, adj=[(0, 1), (0, 1), (2,)]),
     ]
-    return probes
 
 
 def default_grid() -> list[tuple[FamilySpec, int]]:
@@ -228,8 +249,7 @@ def default_grid() -> list[tuple[FamilySpec, int]]:
         ("csun", {"n": range(3, 11)}),
         ("sunlet", {"n": range(3, 11)}),
     ):
-        specs = [spec for spec, _ in family_grid(family, ranges, [1])]
-        cells.extend(_cells_with_default_r(specs))
+        cells.extend(family_cells(family, ranges))
     cells.extend(_cells_with_default_r(split_probe_specs()))
     return cells
 
@@ -246,8 +266,7 @@ def acceptance_grid() -> list[tuple[FamilySpec, int]]:
         ("friendship", {"n": range(1, 6)}),
         ("fan", {"m": range(1, 5), "n": range(2, 7)}),
     ):
-        specs = [spec for spec, _ in family_grid(family, ranges, [1])]
-        cells.extend(_cells_with_default_r(specs))
+        cells.extend(family_cells(family, ranges))
     return cells
 
 

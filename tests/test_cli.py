@@ -133,6 +133,58 @@ class TestLabelVerify:
         assert "covers 2" in err
 
 
+class TestVerifyMalformedInput:
+    LABELING = '{"s": 1, "labels": [[0], [1]]}'
+
+    @pytest.mark.parametrize(
+        "graph,message",
+        [
+            ('{"edges": [[0, 1]]}', '"n"'),
+            ('{"n": "2", "edges": [[0, 1]]}', '"n"'),
+            ('{"n": 2.0, "edges": [[0, 1]]}', '"n"'),
+            ('[2, [[0, 1]]]', "object"),
+            ('{"n": 2}', "pairs"),
+            ('{"n": 2, "edges": [[0]]}', "pairs"),
+            ('{"n": 2, "edges": [[0, 1, 1]]}', "pairs"),
+            ('{"n": 2, "edges": [5]}', "pairs"),
+            ('{"n": 2, "edges": [["0", 1]]}', "integers"),
+            ('{"n": 2, "edges": [[0, 1.0]]}', "integers"),
+            ('{"n": 2, "edges": [[0, null]]}', "integers"),
+        ],
+    )
+    def test_bad_graph_exits_2(self, capsys, tmp_path, graph, message):
+        (tmp_path / "g.json").write_text(graph)
+        (tmp_path / "l.json").write_text(self.LABELING)
+        code, out, err = run(
+            capsys, "verify", "--graph", str(tmp_path / "g.json"),
+            "--labeling", str(tmp_path / "l.json"),
+        )
+        assert (code, out) == (2, "")
+        assert message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "labeling,message",
+        [
+            ('{"labels": [[0], [1]]}', '"s"'),
+            ('{"s": "1", "labels": [[0], [1]]}', '"s"'),
+            ('{"s": 1}', '"labels"'),
+            ('{"s": 1, "labels": 3}', '"labels"'),
+            ('{"s": 1, "labels": [[0], ["a"]]}', '"labels"'),
+            ('{"s": 1, "labels": [[0], [1, 2]]}', "vertex 1 has 2 elements"),
+            ('{"s": 2, "labels": [[0, 1], [2, 2]]}', "vertex 1 has 1 elements"),
+        ],
+    )
+    def test_bad_labeling_exits_2(self, capsys, tmp_path, labeling, message):
+        (tmp_path / "g.json").write_text('{"n": 2, "edges": [[0, 1]]}')
+        (tmp_path / "l.json").write_text(labeling)
+        code, out, err = run(
+            capsys, "verify", "--graph", str(tmp_path / "g.json"),
+            "--labeling", str(tmp_path / "l.json"),
+        )
+        assert (code, out) == (2, "")
+        assert message in err and err.count("\n") == 1
+
+
 class TestReconcile:
     def test_cycle_grid_csv(self, capsys):
         code, out, _ = run(
@@ -151,6 +203,25 @@ class TestReconcile:
         )
         assert code == 0
         assert "disagree" in out
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--n", "5..3"), "empty range '5..3' for --n"),
+            (("--n", "5", "--r", "3..1"), "empty range '3..1' for --r"),
+        ],
+    )
+    def test_empty_range_exits_2(self, capsys, argv, message):
+        code, out, err = run(capsys, "reconcile", "--family", "cycle", *argv)
+        assert (code, out) == (2, "")
+        assert message in err
+
+    def test_thread_variable_is_ignored(self, capsys, monkeypatch):
+        argv = ("reconcile", "--family", "cycle", "--n", "5", "--r", "1..3")
+        expected = run(capsys, *argv)
+        monkeypatch.setenv("NOURISH_THREADS", "abc")
+        assert run(capsys, *argv) == expected
+        assert expected[0] == 0
 
     def test_expect_golden_pass(self, capsys):
         code, _, _ = run(

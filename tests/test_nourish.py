@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nourishing.families import FamilySpec, family_grid, generate
+from conftest import smallest_specs
+from nourishing.families import FAMILY_NAMES, FamilySpec, family_grid, generate
 from nourishing.graphcore import diameter
 from nourishing.nourish import (
     CSV_HEADER,
@@ -13,6 +16,7 @@ from nourishing.nourish import (
     formula_kappa,
     oracle_kappa,
     reconcile,
+    reconcile_cell,
     records_to_csv,
     records_to_json,
     split_probe_specs,
@@ -144,6 +148,26 @@ class TestReconcile:
         for rec in reconcile([(spec_of("sun", n=4), r) for r in (1, 2, 3)]):
             assert rec.oracle == len(rec.witness)
             assert (rec.status == "agree") == (rec.formula == rec.oracle)
+
+
+SMALL_SPECS = [spec for f in FAMILY_NAMES for spec in smallest_specs(f)] + split_probe_specs()
+
+
+@st.composite
+def cell_lists(draw) -> list[tuple[FamilySpec, int]]:
+    """Runs of cells, each run on one spec with repeated and unordered r; specs recur."""
+    cells = []
+    for spec in draw(st.lists(st.sampled_from(SMALL_SPECS), max_size=8)):
+        top = int(diameter(generate(spec))) + 2
+        rs = draw(st.lists(st.integers(1, top), min_size=1, max_size=5))
+        cells.extend((spec, r) for r in rs)
+    return cells
+
+
+@settings(max_examples=150, deadline=None)
+@given(cell_lists())
+def test_reconcile_matches_cell_by_cell(cells):
+    assert reconcile(cells) == [reconcile_cell(c) for c in cells]
 
 
 class TestOutputFormats:
