@@ -21,7 +21,7 @@ from pathlib import Path
 
 from nourishing.families import FAMILY_PARAMS, FamilyParameterError, FamilySpec, generate
 from nourishing.graphcore import Graph, power
-from nourishing.iasi import Labeling, MissingLabelError, construct_strong_iasi, verify_strong_iasi
+from nourishing.iasi import Labeling, construct_strong_iasi, verify_strong_iasi
 from nourishing.nourish import (
     UNDEFINED,
     acceptance_grid,
@@ -161,13 +161,10 @@ def cmd_label(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    g = Graph.from_json(json.loads(Path(args.graph).read_text()))
     labeling = Labeling.from_json(json.loads(Path(args.labeling).read_text()))
-    try:
-        report = verify_strong_iasi(g, labeling)
-    except MissingLabelError as exc:
-        print(str(exc), file=sys.stderr)
-        return USAGE_ERROR
+    graph = json.loads(Path(args.graph).read_text())
+    labeling.check_covers(Graph.order_from_json(graph))  # before Graph allocates n vertices
+    report = verify_strong_iasi(Graph.from_json(graph), labeling)
     print(json.dumps(report.to_json(), indent=2))
     return 0 if report.is_strong else CHECK_FAILED
 

@@ -33,33 +33,37 @@ class FamilyParameterError(ValueError):
     """A family parameter violates its bound; the message names the bound."""
 
 
-# Parameter names per family, in canonical order.  split additionally
-# carries "adj", the per-independent-vertex clique neighbor lists.
-FAMILY_PARAMS: Mapping[str, tuple[str, ...]] = {
-    "path": ("m",),
-    "cycle": ("n",),
-    "complete": ("n",),
-    "kmn": ("m", "n"),
-    "wheel": ("n",),
-    "helm": ("n",),
-    "friendship": ("n",),
-    "fan": ("m", "n"),
-    "split": ("c",),
-    "ksplit": ("c", "s"),
-    "sun": ("n",),
-    "csun": ("n",),
-    "sunlet": ("n",),
+# Each family's parameters in canonical order, mapped to their minimums.
+# split additionally carries "adj", the per-independent-vertex clique
+# neighbor lists.
+FAMILY_PARAMS: Mapping[str, Mapping[str, int]] = {
+    "path": {"m": 1},
+    "cycle": {"n": 3},
+    "complete": {"n": 1},
+    "kmn": {"m": 1, "n": 1},
+    "wheel": {"n": 3},
+    "helm": {"n": 3},
+    "friendship": {"n": 1},
+    "fan": {"m": 1, "n": 1},
+    "split": {"c": 1},
+    "ksplit": {"c": 1, "s": 1},
+    "sun": {"n": 3},
+    "csun": {"n": 3},
+    "sunlet": {"n": 3},
 }
 FAMILY_NAMES = tuple(FAMILY_PARAMS)
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A named graph family plus its parameters.
+    """A named graph family plus its parameters, validated on construction.
 
-    For ``split``, ``adj`` holds one tuple of clique-vertex indices per
-    independent vertex; each tuple must be nonempty (isolated independent
-    vertices are rejected, not silently dropped).
+    Every parameter must reach its minimum in ``FAMILY_PARAMS``.  For
+    ``split``, ``adj`` holds one nonempty tuple of clique-vertex indices
+    0..c-1 per independent vertex, and there is at least one (isolated
+    independent vertices are rejected, not silently dropped).  A spec that
+    exists is therefore one ``generate`` can build; a violation raises
+    FamilyParameterError naming the bound.
     """
 
     family: str
@@ -67,18 +71,34 @@ class FamilySpec:
     adj: tuple[tuple[int, ...], ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILY_NAMES:
+        bounds = FAMILY_PARAMS.get(self.family)
+        if bounds is None:
             raise FamilyParameterError(
                 f"unknown family {self.family!r}; expected one of {', '.join(FAMILY_NAMES)}"
             )
-        expected = FAMILY_PARAMS[self.family]
         given = tuple(k for k, _ in self.params)
-        if given != expected:
+        if given != tuple(bounds):
             raise FamilyParameterError(
-                f"{self.family} takes parameters {expected}, got {given}"
+                f"{self.family} takes parameters {tuple(bounds)}, got {given}"
             )
-        if self.adj and self.family != "split":
-            raise FamilyParameterError("adjacency lists are only valid for split")
+        for k, v in self.params:
+            if v < bounds[k]:
+                raise FamilyParameterError(f"{self.family} requires {k} >= {bounds[k]}, got {k}={v}")
+        if self.family != "split":
+            if self.adj:
+                raise FamilyParameterError("adjacency lists are only valid for split")
+            return
+        if not self.adj:
+            raise FamilyParameterError("split requires at least one independent vertex")
+        c = self["c"]
+        for j, nbrs in enumerate(self.adj):
+            if not nbrs:
+                raise FamilyParameterError(f"split independent vertex {j} has an empty neighbor list")
+            for u in nbrs:
+                if not 0 <= u < c:
+                    raise FamilyParameterError(
+                        f"split neighbor {u} of independent vertex {j} is outside the clique 0..{c - 1}"
+                    )
 
     @classmethod
     def make(
@@ -120,50 +140,36 @@ class FamilySpec:
         return cls.make(data["family"], adj=adj, **params)
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise FamilyParameterError(message)
-
-
 def generate(spec: FamilySpec) -> Graph:
     """Build the canonical graph for ``spec``.
 
-    Raises FamilyParameterError when a parameter is out of range; the message
-    names the violated bound.
+    The spec was validated when it was built, so every spec has a graph.
     """
     f = spec.family
     if f == "path":
         m = spec["m"]
-        _require(m >= 1, f"path requires m >= 1, got m={m}")
         return Graph(m + 1, [(i, i + 1) for i in range(m)])
     if f == "cycle":
         n = spec["n"]
-        _require(n >= 3, f"cycle requires n >= 3, got n={n}")
         return Graph(n, _cycle_edges(n))
     if f == "complete":
         n = spec["n"]
-        _require(n >= 1, f"complete requires n >= 1, got n={n}")
         return Graph(n, combinations(range(n), 2))
     if f == "kmn":
         m, n = spec["m"], spec["n"]
-        _require(m >= 1, f"kmn requires m >= 1, got m={m}")
-        _require(n >= 1, f"kmn requires n >= 1, got n={n}")
         return Graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
     if f == "wheel":
         n = spec["n"]
-        _require(n >= 3, f"wheel requires n >= 3, got n={n}")
         edges = _cycle_edges(n) + [(i, n) for i in range(n)]
         return Graph(n + 1, edges)
     if f == "helm":
         n = spec["n"]
-        _require(n >= 3, f"helm requires n >= 3, got n={n}")
         rim = [(i, i % n + 1) for i in range(1, n + 1)]
         spokes = [(0, i) for i in range(1, n + 1)]
         pendants = [(i, n + i) for i in range(1, n + 1)]
         return Graph(2 * n + 1, rim + spokes + pendants)
     if f == "friendship":
         n = spec["n"]
-        _require(n >= 1, f"friendship requires n >= 1, got n={n}")
         edges = []
         for i in range(n):
             a, b = 2 * i + 1, 2 * i + 2
@@ -171,48 +177,28 @@ def generate(spec: FamilySpec) -> Graph:
         return Graph(2 * n + 1, edges)
     if f == "fan":
         m, n = spec["m"], spec["n"]
-        _require(m >= 1, f"fan requires m >= 1, got m={m}")
-        _require(n >= 1, f"fan requires n >= 1, got n={n}")
         path = [(m + i, m + i + 1) for i in range(n - 1)]
         join = [(i, m + j) for i in range(m) for j in range(n)]
         return Graph(m + n, path + join)
     if f == "split":
         c = spec["c"]
-        _require(c >= 1, f"split requires clique size c >= 1, got c={c}")
-        _require(len(spec.adj) >= 1, "split requires at least one independent vertex")
         edges = list(combinations(range(c), 2))
-        for j, nbrs in enumerate(spec.adj):
-            _require(
-                len(nbrs) >= 1,
-                f"split independent vertex {j} has an empty neighbor list",
-            )
-            for u in nbrs:
-                _require(
-                    0 <= u < c,
-                    f"split neighbor {u} of independent vertex {j} is outside the clique 0..{c - 1}",
-                )
-                edges.append((u, c + j))
+        edges += [(u, c + j) for j, nbrs in enumerate(spec.adj) for u in nbrs]
         return Graph(c + len(spec.adj), edges)
     if f == "ksplit":
         c, s = spec["c"], spec["s"]
-        _require(c >= 1, f"ksplit requires clique size c >= 1, got c={c}")
-        _require(s >= 1, f"ksplit requires independent-set size s >= 1, got s={s}")
         edges = list(combinations(range(c), 2))
         edges += [(i, c + j) for i in range(c) for j in range(s)]
         return Graph(c + s, edges)
+    n = spec["n"]
     if f in ("sun", "csun"):
-        n = spec["n"]
-        _require(n >= 3, f"{f} requires n >= 3, got n={n}")
         hub = _cycle_edges(n) if f == "sun" else list(combinations(range(n), 2))
         rays = []
         for j in range(n):
             rays += [(j, n + j), ((j + 1) % n, n + j)]
         return Graph(2 * n, hub + rays)
-    if f == "sunlet":
-        n = spec["n"]
-        _require(n >= 3, f"sunlet requires n >= 3, got n={n}")
-        return Graph(2 * n, _cycle_edges(n) + [(i, n + i) for i in range(n)])
-    raise FamilyParameterError(f"unknown family {f!r}")
+    # sunlet
+    return Graph(2 * n, _cycle_edges(n) + [(i, n + i) for i in range(n)])
 
 
 def _cycle_edges(n: int) -> list[tuple[int, int]]:
@@ -227,9 +213,9 @@ def family_grid(
     """All (spec, r) cells in deterministic lexicographic order.
 
     ``param_ranges`` maps each of the family's parameter names to a nonempty
-    range; ``r_range`` is the nonempty sequence of power exponents.  Parameter
-    bound violations surface through ``generate``'s validation at spec
-    construction by probing the first cell.
+    range; ``r_range`` is the nonempty sequence of power exponents.  Each spec
+    is validated as it is built, so a parameter out of bounds raises
+    FamilyParameterError naming the bound.
     """
     names = FAMILY_PARAMS.get(family)
     if names is None:
@@ -252,6 +238,5 @@ def family_grid(
     cells: list[tuple[FamilySpec, int]] = []
     for combo in product(*axes):
         spec = FamilySpec.make(family, **dict(zip(names, combo)))
-        generate(spec)  # validate bounds eagerly
         cells.extend((spec, r) for r in rs)
     return cells

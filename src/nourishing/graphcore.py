@@ -87,12 +87,18 @@ class Graph:
     def to_json_str(self) -> str:
         return json.dumps(self.to_json(), separators=(",", ":"))
 
-    @classmethod
-    def from_json(cls, data: object) -> "Graph":
-        """Parse ``{"n": int, "edges": [[u, v], ...]}``; ValueError says what is malformed."""
+    @staticmethod
+    def order_from_json(data: object) -> int:
+        """The vertex count ``"n"`` of graph JSON, read before anything is allocated."""
         n = data.get("n") if isinstance(data, dict) else None
         if type(n) is not int:
             raise ValueError(f'graph JSON must be an object with an integer "n", got "n": {n!r}')
+        return n
+
+    @classmethod
+    def from_json(cls, data: object) -> "Graph":
+        """Parse ``{"n": int, "edges": [[u, v], ...]}``; ValueError says what is malformed."""
+        n = cls.order_from_json(data)
         try:
             edges = [(u, v) for u, v in data.get("edges")]
         except (TypeError, ValueError):

@@ -57,6 +57,11 @@ class Labeling:
     def __len__(self) -> int:
         return len(self.labels)
 
+    def check_covers(self, n: int) -> None:
+        """Raise MissingLabelError unless there is one label per vertex of an n-vertex graph."""
+        if len(self) != n:
+            raise MissingLabelError(f"labeling covers {len(self)} vertices, graph has {n}")
+
     def restrict(self, vertices: Sequence[int]) -> "Labeling":
         """Labels for an induced subgraph on ``vertices`` (relabeled in order)."""
         return Labeling(
@@ -165,7 +170,7 @@ def construct_strong_iasi(g: Graph, s: int = 2) -> Labeling:
 
 def induced_edge_labels(g: Graph, labeling: Labeling) -> dict[tuple[int, int], IntSet]:
     """Each edge mapped to the sumset of its endpoint labels."""
-    _check_total(g, labeling)
+    labeling.check_covers(g.n)
     return {
         (u, v): sumset(labeling[u], labeling[v]) for u, v in g.sorted_edges()
     }
@@ -177,7 +182,7 @@ def verify_strong_iasi(g: Graph, labeling: Labeling) -> VerificationReport:
     ``is_iasi`` and ``is_strong`` are computed independently: the strong check
     runs per edge even when injectivity already failed.
     """
-    _check_total(g, labeling)
+    labeling.check_covers(g.n)
     failures: list[tuple[str, tuple]] = []
 
     seen_vertex: dict[IntSet, int] = {}
@@ -209,10 +214,3 @@ def verify_strong_iasi(g: Graph, labeling: Labeling) -> VerificationReport:
         is_strong=is_iasi and strong_ok,
         failures=tuple(failures),
     )
-
-
-def _check_total(g: Graph, labeling: Labeling) -> None:
-    if len(labeling) != g.n:
-        raise MissingLabelError(
-            f"labeling covers {len(labeling)} vertices, graph has {g.n}"
-        )

@@ -22,7 +22,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
-from nourishing.families import FamilySpec, family_grid, generate
+from nourishing.families import FAMILY_PARAMS, FamilySpec, family_grid, generate
 from nourishing.graphcore import all_pairs_distance, diameter, distance_graph, max_clique, power
 
 UNDEFINED = "undefined"
@@ -232,24 +232,12 @@ def default_grid() -> list[tuple[FamilySpec, int]]:
 
     Parameters run from each family's minimum up to 10 and the exponent from
     1 to diameter+1, which covers every piecewise branch of every formula;
-    split uses the fixed probe specs.
+    split uses the fixed probe specs, after every other family.
     """
     cells: list[tuple[FamilySpec, int]] = []
-    for family, ranges in (
-        ("path", {"m": range(1, 11)}),
-        ("cycle", {"n": range(3, 11)}),
-        ("complete", {"n": range(1, 11)}),
-        ("kmn", {"m": range(1, 11), "n": range(1, 11)}),
-        ("wheel", {"n": range(3, 11)}),
-        ("helm", {"n": range(3, 11)}),
-        ("friendship", {"n": range(1, 11)}),
-        ("fan", {"m": range(1, 11), "n": range(1, 11)}),
-        ("ksplit", {"c": range(1, 11), "s": range(1, 11)}),
-        ("sun", {"n": range(3, 11)}),
-        ("csun", {"n": range(3, 11)}),
-        ("sunlet", {"n": range(3, 11)}),
-    ):
-        cells.extend(family_cells(family, ranges))
+    for family, bounds in FAMILY_PARAMS.items():
+        if family != "split":
+            cells.extend(family_cells(family, {k: range(lo, 11) for k, lo in bounds.items()}))
     cells.extend(_cells_with_default_r(split_probe_specs()))
     return cells
 

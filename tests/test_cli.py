@@ -80,6 +80,19 @@ class TestKappa:
         data = json.loads(out)
         assert (data["formula"], data["oracle"], data["status"]) == (3, 4, "disagree")
 
+    @pytest.mark.parametrize(
+        "argv,bound",
+        [
+            (("--family", "cycle", "--n", "2", "--r", "1"), "n >= 3"),
+            (("--family", "path", "--m", "-3", "--r", "1"), "m >= 1"),
+            (("--family", "split", "--c", "2", "--adj", "5", "--r", "2"), "outside the clique"),
+        ],
+    )
+    def test_formula_mode_checks_bounds(self, capsys, argv, bound):
+        code, out, err = run(capsys, "kappa", *argv, "--mode", "formula")
+        assert (code, out) == (2, "")
+        assert bound in err and err.count("\n") == 1
+
     def test_split_adj_parsing(self, capsys):
         code, out, _ = run(
             capsys, "kappa", "--family", "split", "--c", "2", "--adj", "0,1;1",
@@ -161,6 +174,16 @@ class TestVerifyMalformedInput:
         )
         assert (code, out) == (2, "")
         assert message in err and err.count("\n") == 1
+
+    def test_huge_vertex_count_rejected_before_allocation(self, capsys, tmp_path):
+        (tmp_path / "g.json").write_text(json.dumps({"n": 10**12, "edges": []}))
+        (tmp_path / "l.json").write_text(self.LABELING)
+        code, out, err = run(
+            capsys, "verify", "--graph", str(tmp_path / "g.json"),
+            "--labeling", str(tmp_path / "l.json"),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"labeling covers 2 vertices, graph has {10**12}\n"
 
     @pytest.mark.parametrize(
         "labeling,message",

@@ -5,15 +5,19 @@ from __future__ import annotations
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nourishing.families import (
     FAMILY_NAMES,
+    FAMILY_PARAMS,
     FamilyParameterError,
     FamilySpec,
     family_grid,
     generate,
 )
 from nourishing.graphcore import clique_number, is_connected
+from nourishing.nourish import formula_kappa, oracle_kappa
 
 
 class TestCounts:
@@ -128,6 +132,12 @@ class TestValidation:
             ("sun", {"n": 2}),
             ("sunlet", {"n": 2}),
             ("ksplit", {"c": 0, "s": 1}),
+            ("complete", {"n": 0}),
+            ("csun", {"n": 2}),
+            ("kmn", {"m": 0, "n": 1}),
+            ("fan", {"m": 1, "n": 0}),
+            ("ksplit", {"c": 1, "s": 0}),
+            ("split", {"c": 0, "adj": [(0,)]}),
         ],
     )
     def test_out_of_range_names_bound(self, family, params):
@@ -144,6 +154,32 @@ class TestValidation:
             FamilySpec.make("split", c=2, adj=[(0,), (0, 1)]),
         ):
             assert FamilySpec.from_json(spec.to_json()) == spec
+
+
+@st.composite
+def near_bound_params(draw) -> tuple[str, dict]:
+    """A family with every parameter in [minimum - 3, minimum + 4]; split also
+    gets 0-3 neighbor lists, possibly empty, with entries in -1..c."""
+    family = draw(st.sampled_from(FAMILY_NAMES))
+    params = {k: draw(st.integers(lo - 3, lo + 4)) for k, lo in FAMILY_PARAMS[family].items()}
+    if family == "split":
+        entries = st.integers(-1, max(params["c"], -1))
+        params["adj"] = draw(st.lists(st.lists(entries, max_size=3), max_size=3))
+    return family, params
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_bound_params())
+def test_spec_that_exists_is_valid(drawn):
+    family, params = drawn
+    try:
+        spec = FamilySpec.make(family, **params)
+    except FamilyParameterError:
+        return
+    generate(spec)
+    for r in (1, 2, 3):
+        formula_kappa(spec, r)
+        oracle_kappa(spec, r)
 
 
 class TestGlobalInvariants:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import groupby
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -197,6 +199,17 @@ class TestGrids:
             "path", "cycle", "complete", "kmn", "wheel", "helm", "friendship",
             "fan", "split", "ksplit", "sun", "csun", "sunlet",
         }
+
+    def test_default_grid_cells_are_pinned(self):
+        cells = default_grid()
+        assert len(cells) == 1240
+        assert len({spec for spec, _ in cells}) == 386
+        runs = [(family, len(list(run))) for family, run in groupby(spec.family for spec, _ in cells)]
+        assert runs == [
+            ("path", 65), ("cycle", 32), ("complete", 19), ("kmn", 299), ("wheel", 23),
+            ("helm", 39), ("friendship", 29), ("fan", 298), ("ksplit", 290), ("sun", 40),
+            ("csun", 31), ("sunlet", 48), ("split", 27),
+        ]
 
     def test_split_probes_valid(self):
         for spec in split_probe_specs():
