@@ -23,7 +23,6 @@ from nourishing.families import FAMILY_PARAMS, FamilyParameterError, FamilySpec,
 from nourishing.graphcore import Graph, power
 from nourishing.iasi import Labeling, construct_strong_iasi, verify_strong_iasi
 from nourishing.nourish import (
-    UNDEFINED,
     acceptance_grid,
     audit_grid,
     default_grid,
@@ -132,8 +131,7 @@ def cmd_kappa(args: argparse.Namespace) -> int:
     out: dict = {"family": spec.family, "params": spec.params_str(), "r": args.r}
     rec = reconcile_cell((spec, args.r)) if args.mode == "both" else None
     if args.mode != "oracle":
-        formula = rec.formula if rec else formula_kappa(spec, args.r)
-        out["formula"] = UNDEFINED if formula is None else formula
+        out["formula"] = rec.formula if rec else formula_kappa(spec, args.r)
     if args.mode != "formula":
         oracle, witness = (rec.oracle, rec.witness) if rec else oracle_kappa(spec, args.r)
         out["oracle"] = oracle
@@ -189,8 +187,7 @@ def cmd_reconcile(args: argparse.Namespace) -> int:
     else:
         lines = [
             f"{rec.spec.family}({rec.spec.params_str()}) r={rec.r}: "
-            f"formula={UNDEFINED if rec.formula is None else rec.formula} "
-            f"oracle={rec.oracle} [{rec.status}]"
+            f"formula={rec.formula} oracle={rec.oracle} [{rec.status}]"
             for rec in records
         ]
         output = "\n".join(lines) + "\n"

@@ -1,30 +1,22 @@
-"""Deterministic generators for the named graph families.
+"""The named graph families: one record per family in ``FAMILIES``.
 
-Every generator follows a fixed vertex-numbering contract so tests and the
-formula module can point at specific vertices:
+A record holds the family's parameter minimums, its builder and its
+published nourishing-number formula.  Each builder follows a fixed
+vertex-numbering contract, written beside its record, so tests and formulas
+can point at specific vertices.  The formulas are transcribed verbatim, with
+no corrections applied even where a value is suspected wrong.
 
-* path(m): vertices 0..m in path order (m edges, m+1 vertices)
-* cycle(n): vertices 0..n-1 in cycle order
-* complete(n): all pairs
-* kmn(m, n): part A = 0..m-1, part B = m..m+n-1
-* wheel(n): rim cycle 0..n-1, hub = n (last)
-* helm(n): hub = 0, rim cycle 1..n, pendant n+i attached to rim vertex i
-* friendship(n): center = 0, triangle i uses vertices 2i+1, 2i+2
-* fan(m, n): the m independent vertices first (0..m-1), path m..m+n-1
-* split(c, adj): clique 0..c-1, independent vertices c.. in adj order
-* ksplit(c, s): clique 0..c-1, independent set c..c+s-1, fully joined
-* sun(n) / csun(n): hub set U = 0..n-1 (cycle for sun, complete for csun),
-  independent W = n..2n-1, vertex n+j adjacent to j and (j+1) mod n
-* sunlet(n): cycle 0..n-1, pendant n+i attached to cycle vertex i
-
-Note on path indexing: path(m) is the path of *length* m, i.e. m+1 vertices.
+Split-graph variable naming: the clique order is ``c`` (the literature
+overloads r for both clique order and power exponent), the exponent stays
+``r``, the independent vertices are the entries of ``adj``, and ``s`` is
+their number.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from nourishing.graphcore import Graph
 
@@ -33,35 +25,15 @@ class FamilyParameterError(ValueError):
     """A family parameter violates its bound; the message names the bound."""
 
 
-# Each family's parameters in canonical order, mapped to their minimums.
-# split additionally carries "adj", the per-independent-vertex clique
-# neighbor lists.
-FAMILY_PARAMS: Mapping[str, Mapping[str, int]] = {
-    "path": {"m": 1},
-    "cycle": {"n": 3},
-    "complete": {"n": 1},
-    "kmn": {"m": 1, "n": 1},
-    "wheel": {"n": 3},
-    "helm": {"n": 3},
-    "friendship": {"n": 1},
-    "fan": {"m": 1, "n": 1},
-    "split": {"c": 1},
-    "ksplit": {"c": 1, "s": 1},
-    "sun": {"n": 3},
-    "csun": {"n": 3},
-    "sunlet": {"n": 3},
-}
-FAMILY_NAMES = tuple(FAMILY_PARAMS)
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     """A named graph family plus its parameters, validated on construction.
 
-    Every parameter must reach its minimum in ``FAMILY_PARAMS``.  For
-    ``split``, ``adj`` holds one nonempty tuple of clique-vertex indices
-    0..c-1 per independent vertex, and there is at least one (isolated
-    independent vertices are rejected, not silently dropped).  A spec that
+    Every parameter must be an ``int`` (not a bool) that reaches its minimum
+    in ``FAMILY_PARAMS``.  For ``split``, ``adj`` holds one nonempty tuple of
+    clique-vertex indices 0..c-1 per independent vertex, and there is at
+    least one (isolated independent vertices are rejected, not silently
+    dropped).  A spec that
     exists is therefore one ``generate`` can build; a violation raises
     FamilyParameterError naming the bound.
     """
@@ -82,6 +54,8 @@ class FamilySpec:
                 f"{self.family} takes parameters {tuple(bounds)}, got {given}"
             )
         for k, v in self.params:
+            if type(v) is not int:
+                raise FamilyParameterError(f"{self.family} requires an integer {k}, got {k}={v!r}")
             if v < bounds[k]:
                 raise FamilyParameterError(f"{self.family} requires {k} >= {bounds[k]}, got {k}={v}")
         if self.family != "split":
@@ -95,9 +69,10 @@ class FamilySpec:
             if not nbrs:
                 raise FamilyParameterError(f"split independent vertex {j} has an empty neighbor list")
             for u in nbrs:
-                if not 0 <= u < c:
+                if type(u) is not int or not 0 <= u < c:
                     raise FamilyParameterError(
-                        f"split neighbor {u} of independent vertex {j} is outside the clique 0..{c - 1}"
+                        f"split neighbor {u!r} of independent vertex {j}"
+                        f" is outside the clique 0..{c - 1}"
                     )
 
     @classmethod
@@ -120,6 +95,11 @@ class FamilySpec:
                 return v
         raise KeyError(key)
 
+    def arguments(self) -> dict:
+        """The parameters by name, plus ``adj`` for split: what the family's
+        ``build`` and ``kappa`` take."""
+        return dict(self.params, adj=self.adj) if self.family == "split" else dict(self.params)
+
     def params_str(self) -> str:
         """Deterministic compact rendering, e.g. ``m=2;n=3`` or ``c=2;adj=0,1|1``."""
         parts = [f"{k}={v}" for k, v in self.params]
@@ -140,69 +120,187 @@ class FamilySpec:
         return cls.make(data["family"], adj=adj, **params)
 
 
+class Family(NamedTuple):
+    """One graph family.
+
+    ``bounds`` maps its parameters, in canonical order, to their minimums.
+    ``build`` and ``kappa`` take the parameters by name (and split's ``adj``):
+    ``build(**params)`` returns ``(n, edges)`` and ``kappa(r, **params)`` is
+    the published nourishing number of the r-th power.
+    """
+
+    bounds: Mapping[str, int]
+    build: Callable[..., tuple[int, list[tuple[int, int]]]]
+    kappa: Callable[..., int]
+
+
+def _cycle_edges(n: int) -> list[tuple[int, int]]:
+    return [(i, (i + 1) % n) for i in range(n)]
+
+
+def _clique_edges(n: int) -> list[tuple[int, int]]:
+    return list(combinations(range(n), 2))
+
+
+def _join_edges(a: int, b: int) -> list[tuple[int, int]]:
+    """Every vertex of 0..a-1 joined to every vertex of a..a+b-1."""
+    return [(i, a + j) for i in range(a) for j in range(b)]
+
+
+def _helm(n: int) -> tuple[int, list[tuple[int, int]]]:
+    rim = [(i, i % n + 1) for i in range(1, n + 1)]
+    spokes = [(0, i) for i in range(1, n + 1)]
+    pendants = [(i, n + i) for i in range(1, n + 1)]
+    return 2 * n + 1, rim + spokes + pendants
+
+
+def _friendship(n: int) -> tuple[int, list[tuple[int, int]]]:
+    edges = []
+    for i in range(n):
+        a, b = 2 * i + 1, 2 * i + 2
+        edges += [(0, a), (0, b), (a, b)]
+    return 2 * n + 1, edges
+
+
+def _fan(m: int, n: int) -> tuple[int, list[tuple[int, int]]]:
+    path = [(m + i, m + i + 1) for i in range(n - 1)]
+    return m + n, path + _join_edges(m, n)
+
+
+def _split(c: int, adj: Sequence[Sequence[int]]) -> tuple[int, list[tuple[int, int]]]:
+    rays = [(u, c + j) for j, nbrs in enumerate(adj) for u in nbrs]
+    return c + len(adj), _clique_edges(c) + rays
+
+
+def _sun(n: int, hub: list[tuple[int, int]]) -> tuple[int, list[tuple[int, int]]]:
+    rays = []
+    for j in range(n):
+        rays += [(j, n + j), ((j + 1) % n, n + j)]
+    return 2 * n, hub + rays
+
+
+def _split_kappa(r: int, c: int, adj: Sequence[Sequence[int]]) -> int:
+    s = len(adj)
+    if r == 1:
+        dominating = any(len(set(nbrs)) == c for nbrs in adj)
+        return c + 1 if dominating else c
+    if r == 2:
+        shared = [0] * c
+        for nbrs in adj:
+            for u in set(nbrs):
+                shared[u] += 1
+        return c + max(shared)
+    return c + s
+
+
+def _sun_kappa(r: int, n: int) -> int:
+    half = n // 2
+    if r < half:
+        return 2 * r + 1
+    if r == half:
+        return 2 * (n - 1) if n % 2 else 2 * n - 1
+    return 2 * n
+
+
+def _sunlet_kappa(r: int, n: int) -> int:
+    half = n // 2
+    if r < half + 1:
+        return 2 * r
+    if r == half + 1:
+        return 2 * (n - 1) if n % 2 else 2 * n - 1
+    return 2 * n
+
+
+FAMILIES: Mapping[str, Family] = {
+    # path(m) is the path of *length* m: vertices 0..m in path order
+    "path": Family(
+        {"m": 1},
+        lambda m: (m + 1, [(i, i + 1) for i in range(m)]),
+        lambda r, m: r + 1 if r < m else m + 1,
+    ),
+    # vertices 0..n-1 in cycle order
+    "cycle": Family(
+        {"n": 3},
+        lambda n: (n, _cycle_edges(n)),
+        lambda r, n: r + 1 if r < n // 2 else n,
+    ),
+    # all pairs of 0..n-1
+    "complete": Family(
+        {"n": 1},
+        lambda n: (n, _clique_edges(n)),
+        lambda r, n: n,
+    ),
+    # part A = 0..m-1, part B = m..m+n-1
+    "kmn": Family(
+        {"m": 1, "n": 1},
+        lambda m, n: (m + n, _join_edges(m, n)),
+        lambda r, m, n: 2 if r == 1 else m + n,
+    ),
+    # rim cycle 0..n-1, hub = n (last)
+    "wheel": Family(
+        {"n": 3},
+        lambda n: (n + 1, _cycle_edges(n) + [(i, n) for i in range(n)]),
+        lambda r, n: 3 if r == 1 else n + 1,
+    ),
+    # hub = 0, rim cycle 1..n, pendant n+i attached to rim vertex i
+    "helm": Family(
+        {"n": 3},
+        _helm,
+        lambda r, n: {1: 3, 2: n + 1, 3: n + 4}.get(r, 2 * n + 1),
+    ),
+    # center = 0, triangle i uses vertices 2i+1, 2i+2
+    "friendship": Family(
+        {"n": 1},
+        _friendship,
+        lambda r, n: 3 if r == 1 else 2 * n + 1,
+    ),
+    # the m independent vertices first (0..m-1), path m..m+n-1
+    "fan": Family(
+        {"m": 1, "n": 1},
+        _fan,
+        lambda r, m, n: 3 if r == 1 else m + n,
+    ),
+    # clique 0..c-1, independent vertex c+j adjacent to the clique vertices adj[j]
+    "split": Family(
+        {"c": 1},
+        _split,
+        _split_kappa,
+    ),
+    # clique 0..c-1, independent set c..c+s-1, fully joined to the clique
+    "ksplit": Family(
+        {"c": 1, "s": 1},
+        lambda c, s: (c + s, _clique_edges(c) + _join_edges(c, s)),
+        lambda r, c, s: c + 1 if r == 1 else c + s,
+    ),
+    # hub cycle U = 0..n-1, independent W = n..2n-1, vertex n+j adjacent to j and (j+1) mod n
+    "sun": Family(
+        {"n": 3},
+        lambda n: _sun(n, _cycle_edges(n)),
+        _sun_kappa,
+    ),
+    # as sun, with the hub U = 0..n-1 complete
+    "csun": Family(
+        {"n": 3},
+        lambda n: _sun(n, _clique_edges(n)),
+        lambda r, n: {1: n, 2: n + 1}.get(r, 2 * n),
+    ),
+    # cycle 0..n-1, pendant n+i attached to cycle vertex i
+    "sunlet": Family(
+        {"n": 3},
+        lambda n: (2 * n, _cycle_edges(n) + [(i, n + i) for i in range(n)]),
+        _sunlet_kappa,
+    ),
+}
+FAMILY_PARAMS: Mapping[str, Mapping[str, int]] = {f: rec.bounds for f, rec in FAMILIES.items()}
+FAMILY_NAMES = tuple(FAMILIES)
+
+
 def generate(spec: FamilySpec) -> Graph:
     """Build the canonical graph for ``spec``.
 
     The spec was validated when it was built, so every spec has a graph.
     """
-    f = spec.family
-    if f == "path":
-        m = spec["m"]
-        return Graph(m + 1, [(i, i + 1) for i in range(m)])
-    if f == "cycle":
-        n = spec["n"]
-        return Graph(n, _cycle_edges(n))
-    if f == "complete":
-        n = spec["n"]
-        return Graph(n, combinations(range(n), 2))
-    if f == "kmn":
-        m, n = spec["m"], spec["n"]
-        return Graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
-    if f == "wheel":
-        n = spec["n"]
-        edges = _cycle_edges(n) + [(i, n) for i in range(n)]
-        return Graph(n + 1, edges)
-    if f == "helm":
-        n = spec["n"]
-        rim = [(i, i % n + 1) for i in range(1, n + 1)]
-        spokes = [(0, i) for i in range(1, n + 1)]
-        pendants = [(i, n + i) for i in range(1, n + 1)]
-        return Graph(2 * n + 1, rim + spokes + pendants)
-    if f == "friendship":
-        n = spec["n"]
-        edges = []
-        for i in range(n):
-            a, b = 2 * i + 1, 2 * i + 2
-            edges += [(0, a), (0, b), (a, b)]
-        return Graph(2 * n + 1, edges)
-    if f == "fan":
-        m, n = spec["m"], spec["n"]
-        path = [(m + i, m + i + 1) for i in range(n - 1)]
-        join = [(i, m + j) for i in range(m) for j in range(n)]
-        return Graph(m + n, path + join)
-    if f == "split":
-        c = spec["c"]
-        edges = list(combinations(range(c), 2))
-        edges += [(u, c + j) for j, nbrs in enumerate(spec.adj) for u in nbrs]
-        return Graph(c + len(spec.adj), edges)
-    if f == "ksplit":
-        c, s = spec["c"], spec["s"]
-        edges = list(combinations(range(c), 2))
-        edges += [(i, c + j) for i in range(c) for j in range(s)]
-        return Graph(c + s, edges)
-    n = spec["n"]
-    if f in ("sun", "csun"):
-        hub = _cycle_edges(n) if f == "sun" else list(combinations(range(n), 2))
-        rays = []
-        for j in range(n):
-            rays += [(j, n + j), ((j + 1) % n, n + j)]
-        return Graph(2 * n, hub + rays)
-    # sunlet
-    return Graph(2 * n, _cycle_edges(n) + [(i, n + i) for i in range(n)])
-
-
-def _cycle_edges(n: int) -> list[tuple[int, int]]:
-    return [(i, (i + 1) % n) for i in range(n)]
+    return Graph(*FAMILIES[spec.family].build(**spec.arguments()))
 
 
 def family_grid(

@@ -62,24 +62,8 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
-
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
-
-    def induced_subgraph(self, vertices: Sequence[int]) -> "Graph":
-        """Subgraph induced by ``vertices``, relabeled 0..k-1 in given order."""
-        verts = list(vertices)
-        if len(set(verts)) != len(verts):
-            raise ValueError("duplicate vertices in induced subgraph request")
-        index = {v: i for i, v in enumerate(verts)}
-        sub_edges = [
-            (index[u], index[v])
-            for u, v in self.edges
-            if u in index and v in index
-        ]
-        return Graph(len(verts), sub_edges)
 
     def to_json(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in self.sorted_edges()]}
@@ -103,10 +87,9 @@ class Graph:
             edges = [(u, v) for u, v in data.get("edges")]
         except (TypeError, ValueError):
             raise ValueError('graph JSON "edges" must be a list of [u, v] pairs') from None
-        try:
-            return cls(n, edges)
-        except TypeError:  # a non-integer endpoint fails a comparison or an index
-            raise ValueError("graph JSON edge endpoints must be integers") from None
+        if not all(type(u) is int and type(v) is int for u, v in edges):
+            raise ValueError("graph JSON edge endpoints must be integers")
+        return cls(n, edges)
 
     def to_dot(self) -> str:
         lines = ["graph G {"]
@@ -144,10 +127,6 @@ def diameter(g: Graph) -> float:
             return INF
         worst = max(worst, m)
     return int(worst)
-
-
-def is_connected(g: Graph) -> bool:
-    return max(bfs_distances(g, 0)) != INF
 
 
 def power(g: Graph, r: int) -> Graph:

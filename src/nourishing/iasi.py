@@ -23,14 +23,9 @@ keep disjoint difference sets.  No retry loop is ever needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 from nourishing.graphcore import Graph
-from nourishing.setalg import IntSet, difference_set, make_difference_chain, sumset
-
-
-class MissingLabelError(ValueError):
-    """A labeling does not cover every vertex of the graph."""
+from nourishing.setalg import IntSet, make_difference_chain, sumset
 
 
 @dataclass(frozen=True)
@@ -58,20 +53,9 @@ class Labeling:
         return len(self.labels)
 
     def check_covers(self, n: int) -> None:
-        """Raise MissingLabelError unless there is one label per vertex of an n-vertex graph."""
+        """Raise ValueError unless there is one label per vertex of an n-vertex graph."""
         if len(self) != n:
-            raise MissingLabelError(f"labeling covers {len(self)} vertices, graph has {n}")
-
-    def restrict(self, vertices: Sequence[int]) -> "Labeling":
-        """Labels for an induced subgraph on ``vertices`` (relabeled in order)."""
-        return Labeling(
-            tuple(self.labels[v] for v in vertices),
-            self.label_size,
-            self.chain_length,
-        )
-
-    def distinct_difference_sets(self) -> int:
-        return len({difference_set(a) for a in self.labels})
+            raise ValueError(f"labeling covers {len(self)} vertices, graph has {n}")
 
     def to_json(self) -> dict:
         return {"s": self.label_size, "labels": [a.to_json() for a in self.labels]}

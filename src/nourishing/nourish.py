@@ -1,15 +1,10 @@
 """Closed-form nourishing numbers, the brute-force oracle, and reconciliation.
 
 The nourishing number of a graph equals the order of a maximum clique, so the
-oracle is exact clique search on the powered graph.  The formula side
-transcribes the published piecewise values verbatim, with no corrections
-applied even where a value is suspected wrong; the reconciliation engine's
-whole point is surfacing formula/oracle disagreements, not patching them.
-
-Split-graph variable naming: the clique order is ``c`` (the literature
-overloads r for both clique order and power exponent), the exponent stays
-``r``, ``l`` is the maximum number of independent vertices sharing one clique
-neighbor, and ``s`` is the number of independent vertices.
+oracle is exact clique search on the powered graph.  The formula side is each
+family's published value from ``families.FAMILIES``, transcribed verbatim;
+the reconciliation engine's whole point is surfacing formula/oracle
+disagreements, not patching them.
 """
 
 from __future__ import annotations
@@ -22,10 +17,8 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
-from nourishing.families import FAMILY_PARAMS, FamilySpec, family_grid, generate
+from nourishing.families import FAMILIES, FAMILY_PARAMS, FamilySpec, family_grid, generate
 from nourishing.graphcore import all_pairs_distance, diameter, distance_graph, max_clique, power
-
-UNDEFINED = "undefined"
 
 
 @dataclass(frozen=True)
@@ -34,17 +27,17 @@ class NourishingRecord:
 
     spec: FamilySpec
     r: int
-    formula: Optional[int]
+    formula: int
     oracle: int
     witness: tuple[int, ...]
-    status: str  # agree | disagree | formula-undefined
+    status: str  # agree | disagree
 
     def csv_row(self) -> list[str]:
         return [
             self.spec.family,
             self.spec.params_str(),
             str(self.r),
-            UNDEFINED if self.formula is None else str(self.formula),
+            str(self.formula),
             str(self.oracle),
             self.status,
             " ".join(map(str, self.witness)),
@@ -61,65 +54,11 @@ class NourishingRecord:
         }
 
 
-def formula_kappa(spec: FamilySpec, r: int) -> Optional[int]:
-    """The published piecewise value for the r-th power, or None if no clause applies."""
+def formula_kappa(spec: FamilySpec, r: int) -> int:
+    """The published piecewise value for the r-th power of ``spec``'s graph."""
     if r < 1:
         raise ValueError(f"power exponent must be >= 1, got {r}")
-    f = spec.family
-    if f == "path":
-        m = spec["m"]
-        return r + 1 if r < m else m + 1
-    if f == "cycle":
-        n = spec["n"]
-        return r + 1 if r < n // 2 else n
-    if f == "complete":
-        return spec["n"]
-    if f == "kmn":
-        return 2 if r == 1 else spec["m"] + spec["n"]
-    if f == "wheel":
-        return 3 if r == 1 else spec["n"] + 1
-    if f == "helm":
-        n = spec["n"]
-        return {1: 3, 2: n + 1, 3: n + 4}.get(r, 2 * n + 1)
-    if f == "friendship":
-        return 3 if r == 1 else 2 * spec["n"] + 1
-    if f == "fan":
-        return 3 if r == 1 else spec["m"] + spec["n"]
-    if f == "split":
-        c = spec["c"]
-        s = len(spec.adj)
-        if r == 1:
-            dominating = any(len(set(nbrs)) == c for nbrs in spec.adj)
-            return c + 1 if dominating else c
-        if r == 2:
-            shared = [0] * c
-            for nbrs in spec.adj:
-                for u in set(nbrs):
-                    shared[u] += 1
-            return c + max(shared)
-        return c + s
-    if f == "ksplit":
-        return spec["c"] + 1 if r == 1 else spec["c"] + spec["s"]
-    if f == "sun":
-        n = spec["n"]
-        half = n // 2
-        if r < half:
-            return 2 * r + 1
-        if r == half:
-            return 2 * (n - 1) if n % 2 else 2 * n - 1
-        return 2 * n
-    if f == "csun":
-        n = spec["n"]
-        return {1: n, 2: n + 1}.get(r, 2 * n)
-    if f == "sunlet":
-        n = spec["n"]
-        half = n // 2
-        if r < half + 1:
-            return 2 * r
-        if r == half + 1:
-            return 2 * (n - 1) if n % 2 else 2 * n - 1
-        return 2 * n
-    return None
+    return FAMILIES[spec.family].kappa(r, **spec.arguments())
 
 
 def oracle_kappa(spec: FamilySpec, r: int) -> tuple[int, tuple[int, ...]]:
@@ -130,10 +69,7 @@ def oracle_kappa(spec: FamilySpec, r: int) -> tuple[int, tuple[int, ...]]:
 
 def _record(spec: FamilySpec, r: int, witness: tuple[int, ...]) -> NourishingRecord:
     formula = formula_kappa(spec, r)
-    if formula is None:
-        status = "formula-undefined"
-    else:
-        status = "agree" if formula == len(witness) else "disagree"
+    status = "agree" if formula == len(witness) else "disagree"
     return NourishingRecord(spec, r, formula, len(witness), witness, status)
 
 

@@ -62,7 +62,11 @@ class IntSet:
 
     @classmethod
     def from_json(cls, data: Iterable[int]) -> "IntSet":
-        return cls(data)
+        """Parse a list of integers; TypeError if any element is not an int (bools included)."""
+        elems = list(data)
+        if not all(type(x) is int for x in elems):
+            raise TypeError("IntSet JSON elements must be integers")
+        return cls(elems)
 
 
 def sumset(a: IntSet, b: IntSet) -> IntSet:

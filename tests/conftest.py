@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from nourishing.families import FamilySpec
+from nourishing.families import FAMILY_PARAMS, FamilySpec
 from nourishing.graphcore import Graph
 from nourishing.setalg import IntSet
 
@@ -13,7 +13,7 @@ def brute_force_clique_number(g: Graph) -> int:
     """Exhaustive subset enumeration; independent of the search-based solver."""
     for size in range(g.n, 0, -1):
         for subset in combinations(range(g.n), size):
-            if all(g.has_edge(u, v) for u, v in combinations(subset, 2)):
+            if all(v in g.neighbors(u) for u, v in combinations(subset, 2)):
                 return size
     return 0
 
@@ -31,23 +31,16 @@ def brute_force_difference_set(a: IntSet) -> set[int]:
 
 
 def smallest_specs(family: str) -> list[FamilySpec]:
-    """The three smallest parameter settings per family (lexicographic)."""
-    if family == "path":
-        return [FamilySpec.make("path", m=m) for m in (1, 2, 3)]
-    if family in ("cycle", "wheel", "helm", "sun", "csun", "sunlet"):
-        return [FamilySpec.make(family, n=n) for n in (3, 4, 5)]
-    if family == "complete":
-        return [FamilySpec.make("complete", n=n) for n in (1, 2, 3)]
-    if family == "friendship":
-        return [FamilySpec.make("friendship", n=n) for n in (1, 2, 3)]
-    if family in ("kmn", "fan"):
-        return [FamilySpec.make(family, m=1, n=n) for n in (1, 2, 3)]
-    if family == "ksplit":
-        return [FamilySpec.make("ksplit", c=1, s=s) for s in (1, 2, 3)]
+    """The three smallest parameter settings per family (lexicographic).
+
+    Every parameter sits at its minimum and the last one steps min..min+2;
+    split, whose specs also need adjacency lists, takes three literal specs.
+    """
     if family == "split":
         return [
             FamilySpec.make("split", c=1, adj=[(0,)]),
             FamilySpec.make("split", c=2, adj=[(0,), (1,)]),
             FamilySpec.make("split", c=2, adj=[(0, 1)]),
         ]
-    raise ValueError(family)
+    *fixed, (last, lo) = FAMILY_PARAMS[family].items()
+    return [FamilySpec.make(family, **dict(fixed), **{last: v}) for v in range(lo, lo + 3)]

@@ -163,6 +163,7 @@ class TestVerifyMalformedInput:
             ('{"n": 2, "edges": [["0", 1]]}', "integers"),
             ('{"n": 2, "edges": [[0, 1.0]]}', "integers"),
             ('{"n": 2, "edges": [[0, null]]}', "integers"),
+            ('{"n": 2, "edges": [[0, true]]}', "integers"),
         ],
     )
     def test_bad_graph_exits_2(self, capsys, tmp_path, graph, message):
@@ -195,6 +196,8 @@ class TestVerifyMalformedInput:
             ('{"s": 1, "labels": [[0], ["a"]]}', '"labels"'),
             ('{"s": 1, "labels": [[0], [1, 2]]}', "vertex 1 has 2 elements"),
             ('{"s": 2, "labels": [[0, 1], [2, 2]]}', "vertex 1 has 1 elements"),
+            ('{"s": 2, "labels": [[0.5, 1], [3, 7.25]]}', '"labels"'),
+            ('{"s": 2, "labels": [[true, 3], [4, 9]]}', '"labels"'),
         ],
     )
     def test_bad_labeling_exits_2(self, capsys, tmp_path, labeling, message):

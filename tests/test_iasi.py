@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from nourishing.families import FamilySpec, generate
 from nourishing.graphcore import Graph, clique_number, power
 from nourishing.iasi import (
     Labeling,
-    MissingLabelError,
     construct_strong_iasi,
     greedy_coloring,
     induced_edge_labels,
@@ -61,7 +58,7 @@ class TestInducedEdgeLabels:
         assert labels == {(0, 1): IntSet([1]), (1, 2): IntSet([3])}
 
     def test_missing_label(self):
-        with pytest.raises(MissingLabelError):
+        with pytest.raises(ValueError, match="labeling covers 1 vertices, graph has 3"):
             induced_edge_labels(Graph(3, [(0, 1)]), Labeling((IntSet([0]),), 1))
 
 
@@ -125,7 +122,6 @@ class TestConstructor:
         lab = construct_strong_iasi(g, 2)
         assert verify_strong_iasi(g, lab).is_strong
         assert lab.chain_length == 2
-        assert lab.distinct_difference_sets() == 2
 
     @pytest.mark.parametrize(
         "family,kwargs",
@@ -149,18 +145,6 @@ class TestConstructor:
         back = Labeling.from_json(lab.to_json())
         assert back.labels == lab.labels
         assert back.label_size == 3
-
-
-class TestHereditariness:
-    def test_restriction_stays_strong(self):
-        rng = random.Random(7)
-        g = power(generate(FamilySpec.make("helm", n=6)), 2)
-        lab = construct_strong_iasi(g, 2)
-        for _ in range(25):
-            k = rng.randint(1, g.n)
-            verts = sorted(rng.sample(range(g.n), k))
-            sub = g.induced_subgraph(verts)
-            assert verify_strong_iasi(sub, lab.restrict(verts)).is_strong
 
 
 class TestTranslationLemma:
