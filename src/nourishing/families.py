@@ -82,12 +82,16 @@ class FamilySpec:
         adj: Sequence[Sequence[int]] = (),
         **params: int,
     ) -> "FamilySpec":
-        order = FAMILY_PARAMS.get(family, tuple(sorted(params)))
-        return cls(
-            family,
-            tuple((k, params[k]) for k in order if k in params),
-            tuple(tuple(a) for a in adj),
-        )
+        """A spec from keyword parameters, put in canonical order; a name the
+        family does not take stays in, after the others, so validation names it."""
+        order = tuple(FAMILY_PARAMS.get(family, ()))
+        order += tuple(sorted(k for k in params if k not in order))
+        try:
+            lists = tuple(tuple(a) for a in adj)
+        except TypeError:
+            message = f"split adj must be a list of neighbor lists, got {adj!r}"
+            raise FamilyParameterError(message) from None
+        return cls(family, tuple((k, params[k]) for k in order if k in params), lists)
 
     def __getitem__(self, key: str) -> int:
         for k, v in self.params:
@@ -114,10 +118,19 @@ class FamilySpec:
         return data
 
     @classmethod
-    def from_json(cls, data: dict) -> "FamilySpec":
-        params = dict(data["params"])
+    def from_json(cls, data: object) -> "FamilySpec":
+        """Parse ``{"family": str, "params": {...}}``; FamilyParameterError names what is wrong."""
+        if not isinstance(data, dict):
+            raise FamilyParameterError(f"family JSON must be an object, got {data!r}")
+        family, params = data.get("family"), data.get("params")
+        if not isinstance(family, str) or not isinstance(params, dict):
+            raise FamilyParameterError(
+                'family JSON must have a string "family" and a "params" object,'
+                f' got "family": {family!r}, "params": {params!r}'
+            )
+        params = dict(params)
         adj = params.pop("adj", ())
-        return cls.make(data["family"], adj=adj, **params)
+        return cls.make(family, adj=adj, **params)
 
 
 class Family(NamedTuple):

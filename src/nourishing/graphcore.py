@@ -1,9 +1,12 @@
 """Simple-graph core: BFS distances, graph powers, diameter, exact max clique.
 
 Graphs are simple and undirected with vertices 0..n-1, immutable after
-construction.  Clique search is exact Bron-Kerbosch with pivoting; the graphs
-in this artifact stay small enough (tens of vertices) that exactness is cheap,
-and powered graphs are usually complete, which short-circuits the search.
+construction.  Each graph stores its adjacency once, one neighbour frozenset
+per vertex, plus its edge count; ``edges`` is a read-only set view derived
+from that adjacency.  Clique search is exact Bron-Kerbosch with pivoting; the
+graphs in this artifact stay small enough (tens of vertices) that exactness
+is cheap, and powered graphs are usually complete, which short-circuits the
+search.
 """
 
 from __future__ import annotations
@@ -11,50 +14,66 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from typing import Iterable, Sequence
+from collections.abc import Set
+from typing import Iterable, Iterator, Sequence
 
 INF = math.inf
 
 
 class Graph:
-    """An immutable simple undirected graph on vertices 0..n-1."""
+    """An immutable simple undirected graph on vertices 0..n-1.
 
-    __slots__ = ("n", "edges", "_adj")
+    The adjacency is stored once, as one neighbour frozenset per vertex, with
+    the edge count beside it.  ``edges`` derives the canonical ``(u, v)``
+    pairs, ``u < v``, from the adjacency; it is never stored.
+    """
+
+    __slots__ = ("n", "_adj", "_m")
 
     n: int
-    edges: frozenset[tuple[int, int]]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
             raise ValueError(f"vertex count must be >= 1, got {n}")
-        canon = set()
+        adj: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            canon.add((u, v) if u < v else (v, u))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", frozenset(canon))
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in canon:
             adj[u].add(v)
             adj[v].add(u)
-        object.__setattr__(self, "_adj", tuple(frozenset(s) for s in adj))
+        self._set(n, tuple(map(frozenset, adj)))
+
+    @classmethod
+    def _from_adjacency(cls, adj: tuple[frozenset[int], ...]) -> "Graph":
+        """A graph on an already symmetric, loop-free adjacency, taken as is."""
+        g = object.__new__(cls)
+        g._set(len(adj), adj)
+        return g
+
+    def _set(self, n: int, adj: tuple[frozenset[int], ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_adj", adj)
+        object.__setattr__(self, "_m", sum(map(len, adj)) // 2)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Graph is immutable")
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Graph):
-            return self.n == other.n and self.edges == other.edges
+            return self._adj == other._adj
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash(self._adj)
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={len(self.edges)})"
+        return f"Graph(n={self.n}, m={self._m})"
+
+    @property
+    def edges(self) -> "EdgeView":
+        return EdgeView(self)
 
     def neighbors(self, v: int) -> frozenset[int]:
         return self._adj[v]
@@ -63,7 +82,7 @@ class Graph:
         return len(self._adj[v])
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        return [(u, v) for u, nbrs in enumerate(self._adj) for v in sorted(nbrs) if v > u]
 
     def to_json(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in self.sorted_edges()]}
@@ -97,6 +116,35 @@ class Graph:
         lines.extend(f"  {u} -- {v};" for u, v in self.sorted_edges())
         lines.append("}")
         return "\n".join(lines)
+
+
+class EdgeView(Set):
+    """The edges of a graph as ``(u, v)`` pairs with ``u < v``, read from its
+    adjacency; iterates in sorted order and has an O(1) length."""
+
+    __slots__ = ("_graph",)
+
+    def __init__(self, graph: Graph):
+        self._graph = graph
+
+    def __len__(self) -> int:
+        return self._graph._m
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return iter(self._graph.sorted_edges())
+
+    def __contains__(self, edge: object) -> bool:
+        if not (isinstance(edge, tuple) and len(edge) == 2):
+            return False
+        u, v = edge
+        n = self._graph.n
+        return type(u) is int and type(v) is int and 0 <= u < v < n and v in self._graph._adj[u]
+
+    @classmethod
+    def _from_iterable(cls, it: Iterable) -> frozenset:
+        return frozenset(it)
+
+    __hash__ = Set._hash
 
 
 def bfs_distances(g: Graph, source: int) -> list[float]:
@@ -139,9 +187,11 @@ def power(g: Graph, r: int) -> Graph:
 
 
 def distance_graph(dist: Sequence[Sequence[float]], r: int) -> Graph:
-    """The graph joining each pair of vertices at distance <= r in ``dist``."""
-    n = len(dist)
-    return Graph(n, [(u, v) for u, row in enumerate(dist) for v in range(u + 1, n) if row[v] <= r])
+    """The graph joining each pair of vertices at distance <= r in ``dist``,
+    a symmetric matrix such as ``all_pairs_distance`` returns."""
+    return Graph._from_adjacency(tuple(
+        frozenset(v for v, d in enumerate(row) if d <= r and v != u) for u, row in enumerate(dist)
+    ))
 
 
 def is_complete(g: Graph) -> bool:

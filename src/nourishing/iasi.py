@@ -11,8 +11,11 @@ The constructor works in three deterministic steps:
 1. greedily properly color the graph in descending-degree order (k classes);
 2. build k base sets of size s with pairwise disjoint difference sets;
 3. give vertex v the base set of its class translated by M*a_v, where a_v is
-   the v-th term of the greedy Sidon (Mian-Chowla-style) sequence starting at
-   1 and M exceeds twice the largest base element.
+   the v-th term of the greedy Sidon (Mian-Chowla) sequence starting at 1 and
+   M exceeds twice the largest base element.  The greedy terms come from one
+   bitmask of blocked integers above the last term: every sum t + d of a term
+   and a difference between terms is blocked, and the next term is the lowest
+   free integer.
 
 Distinct translates keep vertices injective; Sidon offsets place every edge
 sumset in its own disjoint window, so edge labels are injective; translation
@@ -123,16 +126,31 @@ def sidon_sequence(count: int) -> list[int]:
 
     Each new term is the smallest integer keeping all pairwise sums of the
     sequence distinct (equivalently, all pairwise differences distinct).
+
+    Bit i of ``ahead`` is set when last + i = t + d for a term t and a
+    difference d between two terms: last + i - t would repeat d, so last + i
+    cannot be a later term.  The next term is last + the lowest clear bit
+    above bit 0.  No later term lies at or below the last one, so the mask is
+    shifted down by each step and holds only what lies ahead.
     """
     terms: list[int] = []
-    diffs: set[int] = set()
-    candidate = 1
+    diffs = 0  # bit d set for every difference d between two terms
+    ahead = 0
+    last = 0
     while len(terms) < count:
-        new_diffs = {candidate - t for t in terms}
-        if len(new_diffs) == len(terms) and not (new_diffs & diffs):
-            terms.append(candidate)
-            diffs |= new_diffs
-        candidate += 1
+        free = ~(ahead >> 1)
+        step = (free & -free).bit_length()
+        c = last + step
+        ahead >>= step
+        new = 0
+        for t in terms:
+            new |= 1 << (c - t)
+        for t in terms:
+            ahead |= new >> (c - t)
+        diffs |= new
+        ahead |= diffs
+        terms.append(c)
+        last = c
     return terms
 
 

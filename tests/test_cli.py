@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -144,6 +145,20 @@ class TestLabelVerify:
         )
         assert code == 2
         assert "covers 2" in err
+
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("cycle", "--n", "150", "--r", "1", "--s-label", "2"), "6b6a9182a58bde11"),
+            (("friendship", "--n", "40", "--r", "2", "--s-label", "3"), "8a4e2f9ce4e2721a"),
+            (("kmn", "--m", "20", "--n", "30", "--r", "2", "--s-label", "4"), "4c156d90d49a65fb"),
+        ],
+    )
+    def test_label_output_pinned(self, capsys, argv, digest):
+        code, out, _ = run(capsys, "label", "--family", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
 class TestVerifyMalformedInput:

@@ -158,6 +158,28 @@ class TestValidation:
         with pytest.raises(FamilyParameterError):
             FamilySpec.make("torus", n=3)
 
+    def test_extra_parameter_named(self):
+        with pytest.raises(FamilyParameterError, match="got \\('m', 'x'\\)"):
+            FamilySpec.make("path", m=2, x=1)
+        with pytest.raises(FamilyParameterError, match="got \\('m', 'x'\\)"):
+            FamilySpec.from_json({"family": "path", "params": {"m": 2, "x": 1}})
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"family": "path"}, '"params" object'),
+            ({"family": "path", "params": [1]}, '"params" object'),
+            ({"params": {"m": 2}}, 'string "family"'),
+            ({"family": ["path"], "params": {"m": 2}}, 'string "family"'),
+            ([1], "must be an object"),
+            ({"family": "split", "params": {"c": 2, "adj": 5}}, "adj must be a list"),
+            ({"family": "split", "params": {"c": 2, "adj": [1]}}, "adj must be a list"),
+        ],
+    )
+    def test_malformed_json_names_problem(self, data, message):
+        with pytest.raises(FamilyParameterError, match=message):
+            FamilySpec.from_json(data)
+
     def test_spec_json_round_trip(self):
         for spec in (
             FamilySpec.make("fan", m=2, n=3),

@@ -6,6 +6,8 @@ import json
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_force_clique_number
 from nourishing.graphcore import (
@@ -53,6 +55,56 @@ class TestGraph:
         dot = path_graph(1).to_dot()
         assert dot.startswith("graph G {")
         assert "0 -- 1;" in dot
+
+
+@st.composite
+def edge_lists(draw) -> tuple[int, list[tuple[int, int]]]:
+    """A vertex count up to 12 and an edge list with repeats in both orientations."""
+    n = draw(st.integers(1, 12))
+    if n == 1:
+        return n, []
+    steps = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)), max_size=40))
+    edges = [(u, (u + k) % n) for u, k in steps]
+    repeats = draw(st.integers(0, len(edges)))
+    return n, edges + [(v, u) for u, v in edges[:repeats]]
+
+
+def bfs_power_edges(n: int, pairs: set[tuple[int, int]], r: int) -> set[tuple[int, int]]:
+    """Pairs at hop distance 1..r: r rounds of breadth-first expansion over ``pairs`` alone."""
+    nbrs: dict[int, set[int]] = {v: set() for v in range(n)}
+    for u, v in pairs:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    out = set()
+    for source in range(n):
+        reached = frontier = {source}
+        for _ in range(r):
+            frontier = {w for u in frontier for w in nbrs[u]} - reached
+            reached = reached | frontier
+        out |= {(source, v) for v in reached if v > source}
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_lists(), st.randoms(use_true_random=False))
+def test_graph_stores_canonical_edges(drawn, rnd):
+    n, edges = drawn
+    canon = {(min(u, v), max(u, v)) for u, v in edges}
+    g = Graph(n, edges)
+    assert g.edges == canon
+    assert len(g.edges) == len(canon)
+    assert set(g.edges) == canon
+    assert g.sorted_edges() == sorted(g.edges) == sorted(canon)
+    for u in range(n):
+        for v in range(n):
+            assert ((u, v) in g.edges) == ((u, v) in canon)
+    shuffled = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in edges]
+    rnd.shuffle(shuffled)
+    h = Graph(n, shuffled)
+    assert h == g
+    assert hash(h) == hash(g)
+    for r in range(1, n + 2):
+        assert power(g, r).edges == bfs_power_edges(n, canon, r)
 
 
 class TestDistances:

@@ -21,9 +21,37 @@ def single_edge() -> Graph:
     return Graph(2, [(0, 1)])
 
 
+def slow_sidon_sequence(count: int) -> list[int]:
+    """Reference greedy search: try every candidate in turn, keep it when its
+    differences to the earlier terms are new."""
+    terms: list[int] = []
+    diffs: set[int] = set()
+    candidate = 1
+    while len(terms) < count:
+        new_diffs = {candidate - t for t in terms}
+        if len(new_diffs) == len(terms) and not (new_diffs & diffs):
+            terms.append(candidate)
+            diffs |= new_diffs
+        candidate += 1
+    return terms
+
+
 class TestSidonSequence:
     def test_known_prefix(self):
         assert sidon_sequence(8) == [1, 2, 4, 8, 13, 21, 31, 45]
+
+    def test_matches_slow_reference(self):
+        reference = slow_sidon_sequence(100)
+        for n in range(101):
+            assert sidon_sequence(n) == reference[:n], n
+
+    def test_pinned_term(self):
+        assert sidon_sequence(200)[-1] == 172922
+
+    def test_differences_distinct_at_300(self):
+        terms = sidon_sequence(300)
+        diffs = [b - a for i, a in enumerate(terms) for b in terms[i + 1:]]
+        assert len(diffs) == len(set(diffs)) == 300 * 299 // 2
 
     def test_pairwise_sums_distinct(self):
         terms = sidon_sequence(12)
