@@ -102,8 +102,6 @@ def _emit_graph(g: Graph, fmt: str) -> None:
     elif fmt == "table":
         print(f"vertices: {g.n}")
         print(f"edges ({len(g.edges)}): " + " ".join(f"{u}-{v}" for u, v in g.sorted_edges()))
-    else:
-        raise FamilyParameterError(f"format {fmt!r} is not valid for graph output")
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -158,9 +156,16 @@ def cmd_label(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_json(path: str) -> object:
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    labeling = Labeling.from_json(json.loads(Path(args.labeling).read_text()))
-    graph = json.loads(Path(args.graph).read_text())
+    labeling = Labeling.from_json(_read_json(args.labeling))
+    graph = _read_json(args.graph)
     labeling.check_covers(Graph.order_from_json(graph))  # before Graph allocates n vertices
     report = verify_strong_iasi(Graph.from_json(graph), labeling)
     print(json.dumps(report.to_json(), indent=2))
@@ -262,10 +267,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FamilyParameterError as exc:
-        print(str(exc), file=sys.stderr)
-        return USAGE_ERROR
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # FamilyParameterError and JSONDecodeError included
         print(str(exc), file=sys.stderr)
         return USAGE_ERROR
 

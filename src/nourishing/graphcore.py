@@ -3,10 +3,9 @@
 Graphs are simple and undirected with vertices 0..n-1, immutable after
 construction.  Each graph stores its adjacency once, one neighbour frozenset
 per vertex, plus its edge count; ``edges`` is a read-only set view derived
-from that adjacency.  Clique search is exact Bron-Kerbosch with pivoting; the
-graphs in this artifact stay small enough (tens of vertices) that exactness
-is cheap, and powered graphs are usually complete, which short-circuits the
-search.
+from that adjacency.  Clique search is exact Bron-Kerbosch with pivoting, run
+on an explicit stack; powered graphs are usually complete, which
+short-circuits the search.
 """
 
 from __future__ import annotations
@@ -168,13 +167,7 @@ def all_pairs_distance(g: Graph) -> list[list[float]]:
 
 def diameter(g: Graph) -> float:
     """Maximum finite distance; INF iff disconnected; 0 for a single vertex."""
-    worst = 0.0
-    for row in all_pairs_distance(g):
-        m = max(row)
-        if m == INF:
-            return INF
-        worst = max(worst, m)
-    return int(worst)
+    return max(map(max, all_pairs_distance(g)))
 
 
 def power(g: Graph, r: int) -> Graph:
@@ -201,30 +194,32 @@ def is_complete(g: Graph) -> bool:
 def max_clique(g: Graph) -> tuple[int, ...]:
     """One maximum clique, as a sorted vertex tuple.  Exact.
 
-    Bron-Kerbosch with pivoting over maximal cliques, keeping the largest
-    seen.  Complete graphs skip the search.
+    Bron-Kerbosch with pivoting on an explicit stack of ``(clique, candidates,
+    excluded)`` frames.  The pivot has the most candidate neighbours, ties going
+    to the lowest vertex, and branches run lowest vertex first; the witness is
+    the first largest clique found.  Complete graphs skip the search.
     """
     if is_complete(g):
         return tuple(range(g.n))
-
-    best: list[tuple[int, ...]] = [()]
     adj = [g.neighbors(v) for v in range(g.n)]
-
-    def extend(clique: set[int], candidates: set[int], excluded: set[int]) -> None:
+    best: tuple[int, ...] = ()
+    stack = [((), set(range(g.n)), set())]
+    while stack:
+        clique, candidates, excluded = stack.pop()
         if not candidates and not excluded:
-            if len(clique) > len(best[0]):
-                best[0] = tuple(sorted(clique))
-            return
-        if len(clique) + len(candidates) <= len(best[0]):
-            return
-        pivot = max(candidates | excluded, key=lambda u: len(candidates & adj[u]))
+            if len(clique) > len(best):
+                best = tuple(sorted(clique))
+            continue
+        if len(clique) + len(candidates) <= len(best):
+            continue
+        pivot = max(sorted(candidates | excluded), key=lambda u: len(candidates & adj[u]))
+        branches = []
         for v in sorted(candidates - adj[pivot]):
-            extend(clique | {v}, candidates & adj[v], excluded & adj[v])
+            branches.append((clique + (v,), candidates & adj[v], excluded & adj[v]))
             candidates.remove(v)
             excluded.add(v)
-
-    extend(set(), set(range(g.n)), set())
-    return best[0]
+        stack.extend(reversed(branches))
+    return best
 
 
 def clique_number(g: Graph) -> int:

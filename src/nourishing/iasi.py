@@ -26,6 +26,7 @@ keep disjoint difference sets.  No retry loop is ever needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from nourishing.graphcore import Graph
 from nourishing.setalg import IntSet, make_difference_chain, sumset
@@ -161,7 +162,7 @@ def construct_strong_iasi(g: Graph, s: int = 2) -> Labeling:
     color = greedy_coloring(g)
     k = max(color) + 1
     bases = make_difference_chain(k, s)
-    max_base = max(a.elements[-1] for a in bases)
+    max_base = max(a[-1] for a in bases)
     offset_unit = 1 + 2 * max_base
     offsets = sidon_sequence(g.n)
     labels = tuple(
@@ -178,41 +179,27 @@ def induced_edge_labels(g: Graph, labeling: Labeling) -> dict[tuple[int, int], I
     }
 
 
+def _collisions(kind: str, labelled: Iterable[tuple[object, IntSet]]) -> list[tuple[str, tuple]]:
+    """One ``(kind, (first, later))`` failure per key whose label an earlier key already has."""
+    seen: dict[IntSet, object] = {}
+    return [(kind, (first, key)) for key, lab in labelled
+            if (first := seen.setdefault(lab, key)) != key]
+
+
 def verify_strong_iasi(g: Graph, labeling: Labeling) -> VerificationReport:
     """Check injectivity and the strong (maximal-sumset) condition.
 
     ``is_iasi`` and ``is_strong`` are computed independently: the strong check
     runs per edge even when injectivity already failed.
     """
-    labeling.check_covers(g.n)
-    failures: list[tuple[str, tuple]] = []
-
-    seen_vertex: dict[IntSet, int] = {}
-    for v in range(g.n):
-        a = labeling[v]
-        if a in seen_vertex:
-            failures.append(("vertex-collision", (seen_vertex[a], v)))
-        else:
-            seen_vertex[a] = v
-
     edge_labels = induced_edge_labels(g, labeling)
-    seen_edge: dict[IntSet, tuple[int, int]] = {}
-    for e, lab in edge_labels.items():
-        if lab in seen_edge:
-            failures.append(("edge-collision", (seen_edge[lab], e)))
-        else:
-            seen_edge[lab] = e
-
+    failures = (_collisions("vertex-collision", enumerate(labeling.labels))
+                + _collisions("edge-collision", edge_labels.items()))
     is_iasi = not failures
-
-    strong_ok = True
-    for (u, v), lab in edge_labels.items():
-        if len(lab) != len(labeling[u]) * len(labeling[v]):
-            failures.append(("non-multiplicative-edge", ((u, v),)))
-            strong_ok = False
-
+    weak = [("non-multiplicative-edge", ((u, v),)) for (u, v), lab in edge_labels.items()
+            if len(lab) != len(labeling[u]) * len(labeling[v])]
     return VerificationReport(
         is_iasi=is_iasi,
-        is_strong=is_iasi and strong_ok,
-        failures=tuple(failures),
+        is_strong=is_iasi and not weak,
+        failures=tuple(failures + weak),
     )

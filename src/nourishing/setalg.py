@@ -13,52 +13,38 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 
-class IntSet:
-    """An immutable, canonically sorted, nonempty set of non-negative integers."""
+class IntSet(tuple):
+    """An immutable, canonically sorted, nonempty set of non-negative integers.
 
-    __slots__ = ("elements",)
+    A tuple of its elements in increasing order: ``sumset(a, b)`` is the
+    sumset A + B, while ``a + b`` is tuple concatenation.
+    """
 
-    elements: tuple[int, ...]
+    __slots__ = ()
 
-    def __init__(self, elements: Iterable[int]):
-        elems = tuple(sorted(set(elements)))
+    def __new__(cls, elements: Iterable[int]) -> "IntSet":
+        elems = sorted(set(elements))
         if not elems:
             raise ValueError("IntSet must be nonempty")
         if elems[0] < 0:
             raise ValueError(f"IntSet elements must be non-negative, got {elems[0]}")
-        object.__setattr__(self, "elements", elems)
+        return super().__new__(cls, elems)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("IntSet is immutable")
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.elements)
-
-    def __contains__(self, x: object) -> bool:
-        return x in self.elements
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, IntSet):
-            return self.elements == other.elements
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.elements)
+    @property
+    def elements(self) -> tuple[int, ...]:
+        return tuple(self)
 
     def __repr__(self) -> str:
-        return f"IntSet({{{', '.join(map(str, self.elements))}}})"
+        return f"IntSet({{{', '.join(map(str, self))}}})"
 
     def translate(self, t: int) -> "IntSet":
         """Return the translate A + {t}."""
-        if t < 0 and -t > self.elements[0]:
+        if t < 0 and -t > self[0]:
             raise ValueError("translation would produce a negative element")
-        return IntSet(x + t for x in self.elements)
+        return IntSet(x + t for x in self)
 
     def to_json(self) -> list[int]:
-        return list(self.elements)
+        return list(self)
 
     @classmethod
     def from_json(cls, data: Iterable[int]) -> "IntSet":
@@ -80,7 +66,7 @@ def difference_set(a: IntSet) -> frozenset[int]:
     Empty for singletons.  Zero is never a member: differences are taken over
     distinct element pairs only.
     """
-    return frozenset(y - x for x, y in combinations(a.elements, 2))
+    return frozenset(y - x for x, y in combinations(a, 2))
 
 
 def is_strong_pair(a: IntSet, b: IntSet) -> bool:

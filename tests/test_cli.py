@@ -201,6 +201,19 @@ class TestVerifyMalformedInput:
         assert (code, out) == (2, "")
         assert err == f"labeling covers 2 vertices, graph has {10**12}\n"
 
+    @pytest.mark.parametrize("nested", ["graph", "labeling"])
+    def test_deeply_nested_json_exits_2(self, capsys, tmp_path, nested):
+        files = {"graph": '{"n": 2, "edges": [[0, 1]]}', "labeling": self.LABELING}
+        files[nested] = "[" * 200000
+        for name, text in files.items():
+            (tmp_path / f"{name}.json").write_text(text)
+        code, out, err = run(
+            capsys, "verify", "--graph", str(tmp_path / "graph.json"),
+            "--labeling", str(tmp_path / "labeling.json"),
+        )
+        assert (code, out) == (2, "")
+        assert f"{nested}.json" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "labeling,message",
         [

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
 import json
+import sys
 from itertools import combinations
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_clique_number
+from nourishing.families import FamilySpec, generate
 from nourishing.graphcore import (
     INF,
     Graph,
@@ -214,3 +217,40 @@ class TestClique:
         g = cycle_graph(9)
         values = [clique_number(power(g, r)) for r in range(1, 6)]
         assert values == sorted(values)
+
+    def test_deep_search_needs_no_recursion(self):
+        g = generate(FamilySpec.make("ksplit", c=300, s=2))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 150)
+        try:
+            witness = max_clique(g)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(witness) == 301
+
+    @pytest.mark.parametrize(
+        "family,n,r,witness",
+        [
+            ("sun", 7, 2, (0, 1, 2, 7, 8)),
+            ("sun", 8, 1, (0, 1, 8)),
+            ("sun", 8, 2, (0, 1, 2, 8, 9)),
+            ("sun", 8, 3, (0, 1, 2, 3, 8, 9, 10)),
+            ("sunlet", 7, 2, (0, 1, 2, 8)),
+            ("sunlet", 10, 2, (0, 1, 2, 11)),
+        ],
+    )
+    def test_witness_pinned(self, family, n, r, witness):
+        """Pivot ties go to the lowest vertex, branches run lowest vertex first."""
+        assert max_clique(power(generate(FamilySpec.make(family, n=n)), r)) == witness
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_lists(), st.randoms(use_true_random=False))
+def test_witness_independent_of_edge_order(drawn, rnd):
+    n, edges = drawn
+    witness = max_clique(Graph(n, edges))
+    shuffled = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in edges]
+    rnd.shuffle(shuffled)
+    g = Graph(n, shuffled)
+    assert max_clique(g) == witness
+    assert len(witness) == brute_force_clique_number(g)

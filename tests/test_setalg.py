@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import pickle
 from itertools import combinations
 
 import pytest
@@ -42,6 +44,27 @@ class TestIntSet:
     def test_json_round_trip(self):
         a = IntSet([0, 4, 7])
         assert IntSet.from_json(a.to_json()) == a
+
+    def test_json_dumps_as_list(self):
+        assert json.dumps(IntSet([2, 0])) == "[0, 2]"
+
+    def test_elements_read_only_sorted_tuple(self):
+        a = IntSet([5, 1, 3])
+        assert a.elements == (1, 3, 5)
+        assert type(a.elements) is tuple
+        with pytest.raises(AttributeError):
+            a.elements = (1,)
+        with pytest.raises(AttributeError):
+            a.other = 1
+
+    def test_pickle_round_trip(self):
+        a = IntSet([0, 4, 7])
+        b = pickle.loads(pickle.dumps(a))
+        assert type(b) is IntSet and b == a
+
+    def test_docstring_separates_sumset_from_concatenation(self):
+        assert "sumset(a, b)" in IntSet.__doc__ and "a + b" in IntSet.__doc__
+        assert IntSet([0, 1]) + IntSet([0, 2]) == (0, 1, 0, 2)
 
     def test_translate(self):
         assert IntSet([0, 2]).translate(5) == IntSet([5, 7])
