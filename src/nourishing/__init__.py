@@ -16,7 +16,7 @@ from nourishing.setalg import (
     sumset,
 )
 from nourishing.graphcore import Graph, all_pairs_distance, clique_number, diameter, power
-from nourishing.families import FamilySpec, family_grid, generate
+from nourishing.families import FamilySpec, generate
 from nourishing.iasi import (
     Labeling,
     VerificationReport,
@@ -26,6 +26,7 @@ from nourishing.iasi import (
 )
 from nourishing.nourish import (
     NourishingRecord,
+    family_cells,
     formula_kappa,
     oracle_kappa,
     reconcile,
@@ -46,7 +47,7 @@ __all__ = [
     "clique_number",
     "FamilySpec",
     "generate",
-    "family_grid",
+    "family_cells",
     "Labeling",
     "VerificationReport",
     "construct_strong_iasi",

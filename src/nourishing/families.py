@@ -15,7 +15,7 @@ their number.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from nourishing.graphcore import Graph
@@ -116,21 +116,6 @@ class FamilySpec:
         if self.family == "split":
             data["params"]["adj"] = [list(a) for a in self.adj]
         return data
-
-    @classmethod
-    def from_json(cls, data: object) -> "FamilySpec":
-        """Parse ``{"family": str, "params": {...}}``; FamilyParameterError names what is wrong."""
-        if not isinstance(data, dict):
-            raise FamilyParameterError(f"family JSON must be an object, got {data!r}")
-        family, params = data.get("family"), data.get("params")
-        if not isinstance(family, str) or not isinstance(params, dict):
-            raise FamilyParameterError(
-                'family JSON must have a string "family" and a "params" object,'
-                f' got "family": {family!r}, "params": {params!r}'
-            )
-        params = dict(params)
-        adj = params.pop("adj", ())
-        return cls.make(family, adj=adj, **params)
 
 
 class Family(NamedTuple):
@@ -315,39 +300,3 @@ def generate(spec: FamilySpec) -> Graph:
     """
     return Graph(*FAMILIES[spec.family].build(**spec.arguments()))
 
-
-def family_grid(
-    family: str,
-    param_ranges: Mapping[str, Sequence[int]],
-    r_range: Sequence[int],
-) -> list[tuple[FamilySpec, int]]:
-    """All (spec, r) cells in deterministic lexicographic order.
-
-    ``param_ranges`` maps each of the family's parameter names to a nonempty
-    range; ``r_range`` is the nonempty sequence of power exponents.  Each spec
-    is validated as it is built, so a parameter out of bounds raises
-    FamilyParameterError naming the bound.
-    """
-    names = FAMILY_PARAMS.get(family)
-    if names is None:
-        raise FamilyParameterError(f"unknown family {family!r}")
-    if family == "split":
-        raise FamilyParameterError(
-            "split grids need explicit adjacency lists; build (FamilySpec, r) cells directly"
-        )
-    rs = list(r_range)
-    if not rs:
-        raise FamilyParameterError("empty power-exponent range")
-    if any(r < 1 for r in rs):
-        raise FamilyParameterError("power exponents must be >= 1")
-    axes = []
-    for name in names:
-        values = list(param_ranges.get(name, ()))
-        if not values:
-            raise FamilyParameterError(f"{family} grid is missing a range for {name!r}")
-        axes.append(values)
-    cells: list[tuple[FamilySpec, int]] = []
-    for combo in product(*axes):
-        spec = FamilySpec.make(family, **dict(zip(names, combo)))
-        cells.extend((spec, r) for r in rs)
-    return cells

@@ -13,11 +13,11 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, product
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
-from nourishing.families import FAMILIES, FAMILY_PARAMS, FamilySpec, family_grid, generate
+from nourishing.families import FAMILIES, FAMILY_PARAMS, FamilySpec, generate
 from nourishing.graphcore import all_pairs_distance, diameter, distance_graph, max_clique, power
 
 
@@ -131,14 +131,16 @@ def family_cells(
 ) -> list[tuple[FamilySpec, int]]:
     """Cells of one family over parameter ranges, in lexicographic order.
 
-    Split specs take ``adj`` for every clique size in ``ranges["c"]``.  The
-    exponent runs over ``r_range``, or by default from 1 to each spec's
-    diameter+1.
+    ``ranges`` maps each of the family's parameters to its values, and every
+    spec takes ``adj`` (split's neighbor lists); ``FamilySpec`` validates
+    each spec as it is built.  The exponent runs over ``r_range``, or by
+    default from 1 to each spec's diameter+1.
     """
-    if family == "split":
-        specs = [FamilySpec.make("split", adj=adj, c=c) for c in ranges["c"]]
-    else:
-        specs = [spec for spec, _ in family_grid(family, ranges, [1])]
+    names = tuple(FAMILY_PARAMS.get(family, ()))
+    specs = [
+        FamilySpec.make(family, adj=adj, **dict(zip(names, values)))
+        for values in product(*(ranges[name] for name in names))
+    ]
     if r_range is None:
         return _cells_with_default_r(specs)
     return [(spec, r) for spec in specs for r in r_range]

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from nourishing import cli
 from nourishing.cli import main
+from nourishing.families import FamilySpec
 
 DATA = Path(__file__).parent / "data"
 
@@ -294,6 +296,39 @@ class TestReconcile:
         )
         assert code == 1
         assert "deviates" in err
+
+
+    def test_default_grid_output_pinned(self, capsys):
+        code, out, _ = run(capsys, "reconcile", "--grid", "default", "--format", "csv")
+        assert code == 0
+        assert len(out) == 53910
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "bcca0a6f7ed742a35c09f9abdd8701713bece4633c415bbc46b5578af93f858e"
+        )
+
+    def test_grid_looked_up_at_call_time(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "audit_grid", lambda: [(FamilySpec.make("cycle", n=3), 1)])
+        code, out, _ = run(capsys, "reconcile", "--grid", "audit")
+        assert code == 0
+        assert out.splitlines()[1:] == ["cycle,n=3,1,3,3,agree,0 1 2"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--grid", "audit", "--family", "cycle", "--n", "3", "--r", "9"),
+             "--grid takes no family flags, got --family --n --r"),
+            (("--grid", "default", "--s-size", "2"), "got --s-size"),
+            (("--grid", "default", "--adj", "0"), "got --adj"),
+            (("--family", "cycle", "--n", "3", "--adj", "0"), "only valid for split"),
+            (("--grid", "acceptance", "--format", "json",
+              "--expect-golden", str(DATA / "golden_reconcile.csv")), "requires --format csv"),
+            (("--grid", "audit", "--expect-golden", str(DATA / "missing.csv")), "missing.csv"),
+        ],
+    )
+    def test_usage_error_prints_nothing_on_stdout(self, capsys, argv, message):
+        code, out, err = run(capsys, "reconcile", *argv)
+        assert (code, out) == (2, "")
+        assert message in err and err.count("\n") == 1
 
 
 class TestUsageErrors:

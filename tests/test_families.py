@@ -13,11 +13,10 @@ from nourishing.families import (
     FAMILY_PARAMS,
     FamilyParameterError,
     FamilySpec,
-    family_grid,
     generate,
 )
 from nourishing.graphcore import INF, clique_number, diameter
-from nourishing.nourish import formula_kappa, oracle_kappa
+from nourishing.nourish import family_cells, formula_kappa, oracle_kappa
 
 
 class TestCounts:
@@ -147,12 +146,12 @@ class TestValidation:
     @pytest.mark.parametrize("m", [2.5, "3", True])
     def test_non_integer_parameter_names_it(self, m):
         with pytest.raises(FamilyParameterError, match="requires an integer m"):
-            FamilySpec.from_json({"family": "path", "params": {"m": m}})
+            FamilySpec.make("path", m=m)
 
     @pytest.mark.parametrize("u", [0.5, "0", True])
     def test_non_integer_split_neighbor_rejected(self, u):
         with pytest.raises(FamilyParameterError, match="outside the clique"):
-            FamilySpec.from_json({"family": "split", "params": {"c": 2, "adj": [[u]]}})
+            FamilySpec.make("split", c=2, adj=[[u]])
 
     def test_unknown_family(self):
         with pytest.raises(FamilyParameterError):
@@ -161,31 +160,13 @@ class TestValidation:
     def test_extra_parameter_named(self):
         with pytest.raises(FamilyParameterError, match="got \\('m', 'x'\\)"):
             FamilySpec.make("path", m=2, x=1)
-        with pytest.raises(FamilyParameterError, match="got \\('m', 'x'\\)"):
-            FamilySpec.from_json({"family": "path", "params": {"m": 2, "x": 1}})
+        with pytest.raises(FamilyParameterError, match="got \\('x', 'y'\\)"):
+            FamilySpec.make("path", y=1, x=2)
 
-    @pytest.mark.parametrize(
-        "data, message",
-        [
-            ({"family": "path"}, '"params" object'),
-            ({"family": "path", "params": [1]}, '"params" object'),
-            ({"params": {"m": 2}}, 'string "family"'),
-            ({"family": ["path"], "params": {"m": 2}}, 'string "family"'),
-            ([1], "must be an object"),
-            ({"family": "split", "params": {"c": 2, "adj": 5}}, "adj must be a list"),
-            ({"family": "split", "params": {"c": 2, "adj": [1]}}, "adj must be a list"),
-        ],
-    )
-    def test_malformed_json_names_problem(self, data, message):
-        with pytest.raises(FamilyParameterError, match=message):
-            FamilySpec.from_json(data)
-
-    def test_spec_json_round_trip(self):
-        for spec in (
-            FamilySpec.make("fan", m=2, n=3),
-            FamilySpec.make("split", c=2, adj=[(0,), (0, 1)]),
-        ):
-            assert FamilySpec.from_json(spec.to_json()) == spec
+    @pytest.mark.parametrize("adj", [5, [1]])
+    def test_malformed_adj_names_problem(self, adj):
+        with pytest.raises(FamilyParameterError, match="adj must be a list"):
+            FamilySpec.make("split", c=2, adj=adj)
 
 
 @st.composite
@@ -241,18 +222,28 @@ class TestGlobalInvariants:
 
 class TestGrid:
     def test_cartesian_order(self):
-        cells = family_grid("cycle", {"n": range(3, 6)}, range(1, 3))
+        cells = family_cells("cycle", {"n": range(3, 6)}, range(1, 3))
         assert [(s["n"], r) for s, r in cells] == [
             (3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 2),
         ]
 
-    def test_empty_r_range_rejected(self):
-        with pytest.raises(FamilyParameterError, match="empty"):
-            family_grid("helm", {"n": range(3, 4)}, [])
-
     def test_single_param_cell_count(self):
-        assert len(family_grid("helm", {"n": range(3, 4)}, range(1, 5))) == 4
+        assert len(family_cells("helm", {"n": range(3, 4)}, range(1, 5))) == 4
 
     def test_two_axis_lexicographic(self):
-        cells = family_grid("kmn", {"m": range(1, 3), "n": range(1, 3)}, [1])
+        cells = family_cells("kmn", {"m": range(1, 3), "n": range(1, 3)}, [1])
         assert [(s["m"], s["n"]) for s, _ in cells] == [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+    def test_split_specs_carry_adj(self):
+        specs = [spec for spec, _ in family_cells("split", {"c": range(1, 4)}, [1], [[0], [0]])]
+        assert [spec["c"] for spec in specs] == [1, 2, 3]
+        assert all(spec.adj == ((0,), (0,)) for spec in specs)
+
+    @pytest.mark.parametrize(
+        "family, adj, message",
+        [("cycle", [(0,)], "only valid for split"), ("split", [], "at least one"),
+         ("torus", [], "unknown family")],
+    )
+    def test_specs_validated(self, family, adj, message):
+        with pytest.raises(FamilyParameterError, match=message):
+            family_cells(family, {"n": range(3, 5), "c": range(1, 3)}, [1], adj)

@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import smallest_specs
-from nourishing.families import FAMILY_NAMES, FamilySpec, family_grid, generate
+from nourishing.families import FAMILY_NAMES, FamilySpec, generate
 from nourishing.graphcore import diameter
 from nourishing.nourish import (
     CSV_HEADER,
     NourishingRecord,
     default_grid,
+    family_cells,
     formula_kappa,
     oracle_kappa,
     reconcile,
@@ -128,7 +129,7 @@ class TestOracle:
 
 class TestReconcile:
     def test_cycle_grid_all_agree(self):
-        records = reconcile(family_grid("cycle", {"n": range(3, 9)}, range(1, 5)))
+        records = reconcile(family_cells("cycle", {"n": range(3, 9)}, range(1, 5)))
         assert all(rec.status == "agree" for rec in records)
 
     def test_wheel3_disagrees(self):
@@ -142,7 +143,7 @@ class TestReconcile:
         assert rec.oracle == 3
 
     def test_order_preserved(self):
-        cells = family_grid("helm", {"n": range(3, 6)}, range(1, 4))
+        cells = family_cells("helm", {"n": range(3, 6)}, range(1, 4))
         records = reconcile(cells)
         assert [(rec.spec, rec.r) for rec in records] == cells
 
