@@ -15,6 +15,7 @@ accept ``LO..HI`` or a single value.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -38,6 +39,7 @@ from nourishing.nourish import (
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 GRIDS = ("default", "acceptance", "audit")  # each names the function <name>_grid
+PARAM_FLAGS = ("m", "n", "c", "s")  # every family parameter, in flag order
 
 
 def _add_family_args(parser: argparse.ArgumentParser, ranged: bool = False) -> None:
@@ -68,13 +70,14 @@ def _flag(name: str) -> str:
 
 
 def _family_params(args: argparse.Namespace) -> dict:
-    params = {}
-    for name in FAMILY_PARAMS[args.family]:
-        value = getattr(args, name, None)
-        if value is None:
-            raise FamilyParameterError(f"{args.family} requires {_flag(name)}")
-        params[name] = value
-    return params
+    """The family's parameters by name; a flag it lacks or does not take is an error."""
+    wanted = FAMILY_PARAMS[args.family]
+    for name in PARAM_FLAGS:
+        given = getattr(args, name) is not None
+        if given != (name in wanted):
+            rule = "takes no" if given else "requires"
+            raise FamilyParameterError(f"{args.family} {rule} {_flag(name)}")
+    return {name: getattr(args, name) for name in wanted}
 
 
 def _spec_from_args(args: argparse.Namespace) -> FamilySpec:
@@ -175,7 +178,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _reconcile_cells(args: argparse.Namespace) -> list:
     if args.grid:
-        flags = ("family", "m", "n", "c", "s", "adj", "r")
+        flags = ("family", *PARAM_FLAGS, "adj", "r")
         given = [_flag(name) for name in flags if getattr(args, name) is not None]
         if given:
             raise FamilyParameterError(f"--grid takes no family flags, got {' '.join(given)}")
@@ -212,7 +215,9 @@ def cmd_reconcile(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``nourish`` parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="nourish",
         description="Strong set-indexer labelings, graph powers, and nourishing numbers.",
@@ -222,38 +227,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a named family graph")
     _add_family_args(p)
     p.add_argument("--format", choices=("json", "dot", "table"), default="json")
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("power", help="r-th power of a family graph")
     _add_family_args(p)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--format", choices=("json", "dot", "table"), default="json")
-    p.set_defaults(func=cmd_power)
 
     p = sub.add_parser("omega", help="exact clique number with witness")
     _add_family_args(p)
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--format", choices=("json", "table"), default="json")
-    p.set_defaults(func=cmd_omega)
 
     p = sub.add_parser("kappa", help="nourishing number: formula, oracle, or both")
     _add_family_args(p)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--mode", choices=("formula", "oracle", "both"), default="both")
     p.add_argument("--format", choices=("json", "table"), default="json")
-    p.set_defaults(func=cmd_kappa)
 
     p = sub.add_parser("label", help="construct a strong set-indexer labeling")
     _add_family_args(p)
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--s-label", type=int, default=2, help="label cardinality (default 2)")
     p.add_argument("--out", help="write the labeling JSON to this file")
-    p.set_defaults(func=cmd_label)
 
     p = sub.add_parser("verify", help="verify a labeling against a graph")
     p.add_argument("--graph", required=True, help="graph JSON file")
     p.add_argument("--labeling", required=True, help="labeling JSON file")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("reconcile", help="formula-vs-oracle reconciliation grid")
     p.add_argument("--grid", choices=tuple(GRIDS))
@@ -261,16 +260,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", help="power range, e.g. 1..4 (default: 1..diameter+1)")
     p.add_argument("--format", choices=("csv", "json", "table"), default="csv")
     p.add_argument("--expect-golden", help="golden CSV; exit 1 on any deviation")
-    p.set_defaults(func=cmd_reconcile)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at call time, like the grids, so a wrapped or patched handler is the one called
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError) as exc:  # FamilyParameterError and JSONDecodeError included
         print(str(exc), file=sys.stderr)
         return USAGE_ERROR

@@ -4,8 +4,9 @@ Graphs are simple and undirected with vertices 0..n-1, immutable after
 construction.  Each graph stores its adjacency once, one neighbour frozenset
 per vertex, plus its edge count; ``edges`` is a read-only set view derived
 from that adjacency.  Clique search is exact Bron-Kerbosch with pivoting, run
-on an explicit stack; powered graphs are usually complete, which
-short-circuits the search.
+on an explicit stack; a complete graph skips the search, which serves
+``omega`` and ``kappa`` (``reconcile`` answers its complete cells without
+calling the search at all).
 """
 
 from __future__ import annotations

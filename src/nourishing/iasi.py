@@ -157,8 +157,6 @@ def sidon_sequence(count: int) -> list[int]:
 
 def construct_strong_iasi(g: Graph, s: int = 2) -> Labeling:
     """A deterministic strong set-indexer with all labels of size ``s``."""
-    if s < 1:
-        raise ValueError(f"set size must be >= 1, got {s}")
     color = greedy_coloring(g)
     k = max(color) + 1
     bases = make_difference_chain(k, s)

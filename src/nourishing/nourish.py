@@ -17,7 +17,7 @@ from itertools import groupby, product
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
-from nourishing.families import FAMILIES, FAMILY_PARAMS, FamilySpec, generate
+from nourishing.families import FAMILIES, FAMILY_PARAMS, FamilyParameterError, FamilySpec, generate
 from nourishing.graphcore import all_pairs_distance, diameter, distance_graph, max_clique, power
 
 
@@ -93,8 +93,6 @@ def reconcile(cells: Iterable[tuple[FamilySpec, int]]) -> list[NourishingRecord]
         dist = all_pairs_distance(g)
         widest = max(map(max, dist))  # INF when disconnected: no power is complete
         for _, r in run:
-            if r < 1:
-                raise ValueError(f"power exponent must be >= 1, got {r}")
             if r >= widest:
                 witness = tuple(range(g.n))
             else:
@@ -131,12 +129,16 @@ def family_cells(
 ) -> list[tuple[FamilySpec, int]]:
     """Cells of one family over parameter ranges, in lexicographic order.
 
-    ``ranges`` maps each of the family's parameters to its values, and every
-    spec takes ``adj`` (split's neighbor lists); ``FamilySpec`` validates
-    each spec as it is built.  The exponent runs over ``r_range``, or by
-    default from 1 to each spec's diameter+1.
+    ``ranges`` maps each of the family's parameters, and no other name, to
+    its values, and every spec takes ``adj`` (split's neighbor lists);
+    ``FamilySpec`` validates each spec as it is built.  The exponent runs over
+    ``r_range``, or by default from 1 to each spec's diameter+1.
     """
-    names = tuple(FAMILY_PARAMS.get(family, ()))
+    names = tuple(FAMILY_PARAMS.get(family, ()))  # FamilySpec names an unknown family
+    for name in (*names, *ranges):
+        if names and (name in names) != (name in ranges):
+            rule = "takes no parameter" if name in ranges else "needs a range for"
+            raise FamilyParameterError(f"{family} {rule} {name!r}")
     specs = [
         FamilySpec.make(family, adj=adj, **dict(zip(names, values)))
         for values in product(*(ranges[name] for name in names))

@@ -39,8 +39,6 @@ class IntSet(tuple):
 
     def translate(self, t: int) -> "IntSet":
         """Return the translate A + {t}."""
-        if t < 0 and -t > self[0]:
-            raise ValueError("translation would produce a negative element")
         return IntSet(x + t for x in self)
 
     def to_json(self) -> list[int]:

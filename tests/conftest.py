@@ -18,6 +18,22 @@ def brute_force_clique_number(g: Graph) -> int:
     return 0
 
 
+def bfs_power_edges(n: int, pairs: set[tuple[int, int]], r: int) -> set[tuple[int, int]]:
+    """Pairs at hop distance 1..r: r rounds of breadth-first expansion over ``pairs`` alone."""
+    nbrs: dict[int, set[int]] = {v: set() for v in range(n)}
+    for u, v in pairs:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    out = set()
+    for source in range(n):
+        reached = frontier = {source}
+        for _ in range(r):
+            frontier = {w for u in frontier for w in nbrs[u]} - reached
+            reached = reached | frontier
+        out |= {(source, v) for v in reached if v > source}
+    return out
+
+
 def brute_force_sumset(a: IntSet, b: IntSet) -> set[int]:
     out = set()
     for x in a:

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -337,3 +341,57 @@ class TestUsageErrors:
             main(["gen"])  # argparse exits 2 for missing --family
         assert exc.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("gen", "--family", "cycle", "--n", "5", "--m", "3"), "cycle takes no --m"),
+            (("label", "--family", "kmn", "--m", "2", "--n", "3", "--c", "2"), "kmn takes no --c"),
+            (("reconcile", "--family", "cycle", "--n", "3..5", "--s-size", "2", "--r", "1"),
+             "cycle takes no --s-size"),
+        ],
+    )
+    def test_flag_the_family_does_not_take_exits_2(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", message + "\n")
+
+
+class TestDispatch:
+    def test_second_call_builds_no_parser(self, capsys, monkeypatch):
+        argv = ("gen", "--family", "cycle", "--n", "3")
+        expected = run(capsys, *argv)
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(
+            argparse.ArgumentParser, "__init__",
+            lambda self, *a, **kw: built.append(kw.get("prog")) or init(self, *a, **kw),
+        )
+        assert run(capsys, *argv) == expected
+        assert built == []
+
+    def test_handler_looked_up_at_call_time(self, capsys, monkeypatch):
+        run(capsys, "gen", "--family", "cycle", "--n", "3")  # the parser exists before the patch
+        seen = []
+        monkeypatch.setattr(cli, "cmd_gen", lambda args: seen.append(args.n) or 0)
+        assert run(capsys, "gen", "--family", "cycle", "--n", "4") == (0, "", "")
+        assert seen == [4]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reconcile", "--grid", "default", "--format", "json"),
+        ("label", "--family", "friendship", "--n", "10", "--r", "2", "--s-label", "3"),
+    ],
+)
+def test_stdout_is_the_same_under_two_hash_seeds(argv):
+    """Separate processes, so set iteration order really differs between the runs."""
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    program = "from nourishing.cli import main; raise SystemExit(main())"
+    outputs = []
+    for seed in ("0", "12345"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        proc = subprocess.run(
+            [sys.executable, "-c", program, *argv], env=env, capture_output=True, check=True
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0] and outputs[0] == outputs[1]

@@ -245,5 +245,16 @@ class TestGrid:
          ("torus", [], "unknown family")],
     )
     def test_specs_validated(self, family, adj, message):
+        ranges = {name: range(lo, lo + 2) for name, lo in FAMILY_PARAMS.get(family, {}).items()}
         with pytest.raises(FamilyParameterError, match=message):
-            family_cells(family, {"n": range(3, 5), "c": range(1, 3)}, [1], adj)
+            family_cells(family, ranges, [1], adj)
+
+    @pytest.mark.parametrize(
+        "family, ranges, message",
+        [("kmn", {"m": range(1, 3)}, "kmn needs a range for 'n'"),
+         ("cycle", {"n": range(3, 5), "x": range(1, 3)}, "cycle takes no parameter 'x'"),
+         ("kmn", {"m": range(0), "n": range(1, 3), "s": range(0)}, "kmn takes no parameter 's'")],
+    )
+    def test_ranges_must_name_exactly_the_parameters(self, family, ranges, message):
+        with pytest.raises(FamilyParameterError, match=message):
+            family_cells(family, ranges, [1])

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_clique_number
+from conftest import bfs_power_edges, brute_force_clique_number
 from nourishing.families import FamilySpec, generate
 from nourishing.graphcore import (
     INF,
@@ -23,6 +23,7 @@ from nourishing.graphcore import (
     max_clique,
     power,
 )
+from nourishing.nourish import default_grid
 
 
 def path_graph(m: int) -> Graph:
@@ -70,22 +71,6 @@ def edge_lists(draw) -> tuple[int, list[tuple[int, int]]]:
     edges = [(u, (u + k) % n) for u, k in steps]
     repeats = draw(st.integers(0, len(edges)))
     return n, edges + [(v, u) for u, v in edges[:repeats]]
-
-
-def bfs_power_edges(n: int, pairs: set[tuple[int, int]], r: int) -> set[tuple[int, int]]:
-    """Pairs at hop distance 1..r: r rounds of breadth-first expansion over ``pairs`` alone."""
-    nbrs: dict[int, set[int]] = {v: set() for v in range(n)}
-    for u, v in pairs:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    out = set()
-    for source in range(n):
-        reached = frontier = {source}
-        for _ in range(r):
-            frontier = {w for u in frontier for w in nbrs[u]} - reached
-            reached = reached | frontier
-        out |= {(source, v) for v in reached if v > source}
-    return out
 
 
 @settings(max_examples=150, deadline=None)
@@ -181,6 +166,22 @@ class TestPower:
     def test_diameter_power_complete(self, n):
         g = cycle_graph(n)
         assert is_complete(power(g, int(diameter(g))))
+
+
+def test_power_and_diameter_match_bfs_oracle_on_default_grid():
+    """Every default-grid spec, r = 1..diameter+1: the oracle sees only the edge set."""
+    specs = dict.fromkeys(spec for spec, _ in default_grid())
+    assert len(specs) == 386
+    for spec in specs:
+        g = generate(spec)
+        reach = [set()]  # reach[r]: the pairs at distance 1..r
+        while len(reach[-1]) < g.n * (g.n - 1) // 2:
+            reach.append(bfs_power_edges(g.n, g.edges, len(reach)))
+            assert reach[-1] != reach[-2], f"{spec} is disconnected"
+        assert diameter(g) == len(reach) - 1, spec  # the oracle's largest distance
+        reach.append(reach[-1])
+        for r in range(1, len(reach)):
+            assert power(g, r).edges == reach[r], (spec, r)
 
 
 class TestClique:
