@@ -81,19 +81,15 @@ def _family_params(args: argparse.Namespace) -> dict:
 
 
 def _spec_from_args(args: argparse.Namespace) -> FamilySpec:
-    params = _family_params(args)
-    if args.family == "split" and not args.adj:
-        raise FamilyParameterError("split requires --adj")
-    return FamilySpec.make(args.family, adj=_parse_adj(args.adj), **params)
+    return FamilySpec.make(args.family, adj=_parse_adj(args.adj), **_family_params(args))
 
 
 def _parse_range(text: str, name: str) -> range:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        values = range(int(lo), int(hi) + 1)
-    else:
-        v = int(text)
-        values = range(v, v + 1)
+    lo, dots, hi = text.partition("..")
+    try:
+        values = range(int(lo), int(hi if dots else lo) + 1)
+    except ValueError as exc:
+        raise FamilyParameterError(f"cannot parse {_flag(name)} {text!r}: {exc}") from exc
     if not values:
         raise FamilyParameterError(f"empty range {text!r} for {_flag(name)}")
     return values
@@ -106,7 +102,8 @@ def _emit_graph(g: Graph, fmt: str) -> None:
         print(g.to_dot())
     elif fmt == "table":
         print(f"vertices: {g.n}")
-        print(f"edges ({len(g.edges)}): " + " ".join(f"{u}-{v}" for u, v in g.sorted_edges()))
+        edges = g.sorted_edges()
+        print(f"edges ({len(edges)}): " + " ".join(f"{u}-{v}" for u, v in edges))
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

@@ -2,11 +2,11 @@
 
 Graphs are simple and undirected with vertices 0..n-1, immutable after
 construction.  Each graph stores its adjacency once, one neighbour frozenset
-per vertex, plus its edge count; ``edges`` is a read-only set view derived
-from that adjacency.  Clique search is exact Bron-Kerbosch with pivoting, run
-on an explicit stack; a complete graph skips the search, which serves
-``omega`` and ``kappa`` (``reconcile`` answers its complete cells without
-calling the search at all).
+per vertex, plus its edge count; ``edges`` is a frozenset built on demand
+from that adjacency, and ``sorted_edges()`` is its ordered form.  Clique
+search is exact Bron-Kerbosch with pivoting, run on an explicit stack; a
+complete graph skips the search, which serves ``omega`` and ``kappa``
+(``reconcile`` answers its complete cells without calling the search at all).
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from collections.abc import Set
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 INF = math.inf
 
@@ -24,8 +23,10 @@ class Graph:
     """An immutable simple undirected graph on vertices 0..n-1.
 
     The adjacency is stored once, as one neighbour frozenset per vertex, with
-    the edge count beside it.  ``edges`` derives the canonical ``(u, v)``
-    pairs, ``u < v``, from the adjacency; it is never stored.
+    the edge count beside it.  ``edges`` is a frozenset of the canonical
+    ``(u, v)`` pairs, ``u < v``, built from the adjacency on each access, so
+    it iterates in set order and its length costs O(m); ``sorted_edges()`` is
+    the ordered form.
     """
 
     __slots__ = ("n", "_adj", "_m")
@@ -72,8 +73,8 @@ class Graph:
         return f"Graph(n={self.n}, m={self._m})"
 
     @property
-    def edges(self) -> "EdgeView":
-        return EdgeView(self)
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset((u, v) for u, nbrs in enumerate(self._adj) for v in nbrs if v > u)
 
     def neighbors(self, v: int) -> frozenset[int]:
         return self._adj[v]
@@ -118,52 +119,22 @@ class Graph:
         return "\n".join(lines)
 
 
-class EdgeView(Set):
-    """The edges of a graph as ``(u, v)`` pairs with ``u < v``, read from its
-    adjacency; iterates in sorted order and has an O(1) length."""
-
-    __slots__ = ("_graph",)
-
-    def __init__(self, graph: Graph):
-        self._graph = graph
-
-    def __len__(self) -> int:
-        return self._graph._m
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self._graph.sorted_edges())
-
-    def __contains__(self, edge: object) -> bool:
-        if not (isinstance(edge, tuple) and len(edge) == 2):
-            return False
-        u, v = edge
-        n = self._graph.n
-        return type(u) is int and type(v) is int and 0 <= u < v < n and v in self._graph._adj[u]
-
-    @classmethod
-    def _from_iterable(cls, it: Iterable) -> frozenset:
-        return frozenset(it)
-
-    __hash__ = Set._hash
-
-
-def bfs_distances(g: Graph, source: int) -> list[float]:
-    """Hop counts from ``source``; INF for unreachable vertices."""
-    dist: list[float] = [INF] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in g.neighbors(u):
-            if dist[w] == INF:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
-
-
 def all_pairs_distance(g: Graph) -> list[list[float]]:
     """Symmetric n x n matrix of shortest-path hop counts (INF if disconnected)."""
-    return [bfs_distances(g, v) for v in range(g.n)]
+    adj = g._adj
+    rows = []
+    for source in range(g.n):
+        dist: list[float] = [INF] * g.n
+        dist[source] = 0
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if dist[w] == INF:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        rows.append(dist)
+    return rows
 
 
 def diameter(g: Graph) -> float:
@@ -189,7 +160,7 @@ def distance_graph(dist: Sequence[Sequence[float]], r: int) -> Graph:
 
 
 def is_complete(g: Graph) -> bool:
-    return len(g.edges) == g.n * (g.n - 1) // 2
+    return g._m == g.n * (g.n - 1) // 2
 
 
 def max_clique(g: Graph) -> tuple[int, ...]:
@@ -202,7 +173,7 @@ def max_clique(g: Graph) -> tuple[int, ...]:
     """
     if is_complete(g):
         return tuple(range(g.n))
-    adj = [g.neighbors(v) for v in range(g.n)]
+    adj = g._adj
     best: tuple[int, ...] = ()
     stack = [((), set(range(g.n)), set())]
     while stack:

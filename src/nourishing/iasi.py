@@ -47,6 +47,9 @@ class Labeling:
     chain_length: int = field(default=0)
 
     def __post_init__(self) -> None:
+        for v, a in enumerate(self.labels):
+            if len(a) != self.label_size:
+                raise ValueError(f'label of vertex {v} has {len(a)} elements, "s" is {self.label_size}')
         if self.label_size < 1:
             raise ValueError(f"label size must be >= 1, got {self.label_size}")
 
@@ -74,9 +77,6 @@ class Labeling:
             labels = tuple(IntSet.from_json(a) for a in data["labels"])
         except (KeyError, TypeError):
             raise ValueError('labeling JSON "labels" must be a list of integer lists') from None
-        for v, a in enumerate(labels):
-            if len(a) != s:
-                raise ValueError(f'label of vertex {v} has {len(a)} elements, "s" is {s}')
         return cls(labels, s)
 
 

@@ -269,12 +269,15 @@ class TestReconcile:
         [
             (("--n", "5..3"), "empty range '5..3' for --n"),
             (("--n", "5", "--r", "3..1"), "empty range '3..1' for --r"),
+            (("--n", "a..b", "--r", "1"), "cannot parse --n 'a..b': invalid literal"),
+            (("--n", "3..", "--r", "1"), "cannot parse --n '3..': invalid literal"),
+            (("--n", "5", "--r", "x"), "cannot parse --r 'x': invalid literal"),
         ],
     )
     def test_empty_range_exits_2(self, capsys, argv, message):
         code, out, err = run(capsys, "reconcile", "--family", "cycle", *argv)
         assert (code, out) == (2, "")
-        assert message in err
+        assert message in err and err.count("\n") == 1
 
     def test_thread_variable_is_ignored(self, capsys, monkeypatch):
         argv = ("reconcile", "--family", "cycle", "--n", "5", "--r", "1..3")
@@ -353,6 +356,16 @@ class TestUsageErrors:
     )
     def test_flag_the_family_does_not_take_exits_2(self, capsys, argv, message):
         assert run(capsys, *argv) == (2, "", message + "\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gen", "--family", "split", "--c", "1"),
+            ("reconcile", "--family", "split", "--c", "1..2", "--r", "1"),
+        ],
+    )
+    def test_split_without_adjacency_gets_one_message(self, capsys, argv):
+        assert run(capsys, *argv) == (2, "", "split requires at least one independent vertex\n")
 
 
 class TestDispatch:

@@ -91,8 +91,12 @@ def test_graph_stores_canonical_edges(drawn, rnd):
     h = Graph(n, shuffled)
     assert h == g
     assert hash(h) == hash(g)
+    pairs = n * (n - 1) // 2
+    reach = [bfs_power_edges(n, canon, r) for r in range(n + 2)]
     for r in range(1, n + 2):
-        assert power(g, r).edges == bfs_power_edges(n, canon, r)
+        assert power(g, r).edges == reach[r]
+    assert diameter(g) == next((r for r in range(n + 1) if len(reach[r]) == pairs), INF)
+    assert is_complete(g) == (len(canon) == pairs)
 
 
 class TestDistances:

@@ -70,6 +70,17 @@ class TestGreedyColoring:
         assert max(color) + 1 == 2
 
 
+class TestLabeling:
+    @pytest.mark.parametrize("labels, size, message", [
+        ((IntSet([0, 1, 2]),), 2, 'label of vertex 0 has 3 elements, "s" is 2'),
+        ((IntSet([0, 1]), IntSet([4])), 2, 'label of vertex 1 has 1 elements, "s" is 2'),
+    ])
+    def test_label_of_the_wrong_size_is_rejected_on_construction(self, labels, size, message):
+        with pytest.raises(ValueError) as exc:
+            Labeling(labels, size)
+        assert str(exc.value) == message
+
+
 class TestInducedEdgeLabels:
     def test_singletons(self):
         lab = Labeling((IntSet([0]), IntSet([5])), 1)
