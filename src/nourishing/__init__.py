@@ -28,7 +28,6 @@ from nourishing.nourish import (
     NourishingRecord,
     family_cells,
     formula_kappa,
-    oracle_kappa,
     reconcile,
 )
 
@@ -55,6 +54,5 @@ __all__ = [
     "induced_edge_labels",
     "NourishingRecord",
     "formula_kappa",
-    "oracle_kappa",
     "reconcile",
 ]

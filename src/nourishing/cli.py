@@ -29,9 +29,7 @@ from nourishing.nourish import (
     default_grid,
     family_cells,
     formula_kappa,
-    oracle_kappa,
     reconcile,
-    reconcile_cell,
     records_to_csv,
     records_to_json,
 )
@@ -117,12 +115,12 @@ def cmd_power(args: argparse.Namespace) -> int:
 
 
 def cmd_omega(args: argparse.Namespace) -> int:
-    _, witness = oracle_kappa(_spec_from_args(args), args.r)
+    (record,) = reconcile([(_spec_from_args(args), args.r)])
     if args.format == "json":
-        print(json.dumps({"omega": len(witness), "witness": list(witness)}))
+        print(json.dumps({"omega": record.oracle, "witness": list(record.witness)}))
     else:
-        print(f"omega: {len(witness)}")
-        print("witness: " + " ".join(map(str, witness)))
+        print(f"omega: {record.oracle}")
+        print("witness: " + " ".join(map(str, record.witness)))
     return 0
 
 
@@ -132,7 +130,7 @@ def cmd_kappa(args: argparse.Namespace) -> int:
     if args.mode == "formula":
         out["formula"] = formula_kappa(spec, args.r)
     else:
-        record = reconcile_cell((spec, args.r)).to_json()
+        record = reconcile([(spec, args.r)])[0].to_json()
         keys = ("oracle", "witness")
         if args.mode == "both":
             keys = ("formula", "oracle", "witness", "status")

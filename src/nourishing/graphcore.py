@@ -5,8 +5,9 @@ construction.  Each graph stores its adjacency once, one neighbour frozenset
 per vertex, plus its edge count; ``edges`` is a frozenset built on demand
 from that adjacency, and ``sorted_edges()`` is its ordered form.  Clique
 search is exact Bron-Kerbosch with pivoting, run on an explicit stack; a
-complete graph skips the search, which serves ``omega`` and ``kappa``
-(``reconcile`` answers its complete cells without calling the search at all).
+complete graph skips the search, which serves r = 1 cells and library callers
+of ``max_clique``/``clique_number`` (``reconcile`` answers complete powers of
+r >= 2 without calling the search at all).
 """
 
 from __future__ import annotations

@@ -47,11 +47,11 @@ class Labeling:
     chain_length: int = field(default=0)
 
     def __post_init__(self) -> None:
+        if self.label_size < 1:
+            raise ValueError(f"label size must be >= 1, got {self.label_size}")
         for v, a in enumerate(self.labels):
             if len(a) != self.label_size:
                 raise ValueError(f'label of vertex {v} has {len(a)} elements, "s" is {self.label_size}')
-        if self.label_size < 1:
-            raise ValueError(f"label size must be >= 1, got {self.label_size}")
 
     def __getitem__(self, v: int) -> IntSet:
         return self.labels[v]
@@ -74,10 +74,17 @@ class Labeling:
         if type(s) is not int:
             raise ValueError(f'labeling JSON must be an object with an integer "s", got "s": {s!r}')
         try:
-            labels = tuple(IntSet.from_json(a) for a in data["labels"])
+            labels = tuple(_label_from_json(v, a) for v, a in enumerate(data["labels"]))
         except (KeyError, TypeError):
             raise ValueError('labeling JSON "labels" must be a list of integer lists') from None
         return cls(labels, s)
+
+
+def _label_from_json(v: int, data: object) -> IntSet:
+    try:
+        return IntSet.from_json(data)
+    except ValueError as exc:  # an empty label or a negative element
+        raise ValueError(f"label of vertex {v}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -18,30 +18,33 @@ from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from nourishing.families import FAMILIES, FAMILY_PARAMS, FamilyParameterError, FamilySpec, generate
-from nourishing.graphcore import all_pairs_distance, diameter, distance_graph, max_clique, power
+from nourishing.graphcore import all_pairs_distance, diameter, distance_graph, max_clique
 
 
 @dataclass(frozen=True)
 class NourishingRecord:
-    """One reconciliation cell: formula value vs brute-force clique value."""
+    """One reconciliation cell: formula value vs brute-force clique value.
+
+    ``oracle`` and ``status`` are read off ``witness`` and ``formula``, so a
+    record cannot contradict itself.
+    """
 
     spec: FamilySpec
     r: int
     formula: int
-    oracle: int
     witness: tuple[int, ...]
-    status: str  # agree | disagree
+
+    @property
+    def oracle(self) -> int:
+        return len(self.witness)
+
+    @property
+    def status(self) -> str:
+        return "agree" if self.formula == self.oracle else "disagree"
 
     def csv_row(self) -> list[str]:
-        return [
-            self.spec.family,
-            self.spec.params_str(),
-            str(self.r),
-            str(self.formula),
-            str(self.oracle),
-            self.status,
-            " ".join(map(str, self.witness)),
-        ]
+        fields = (self.r, self.formula, self.oracle, self.status, " ".join(map(str, self.witness)))
+        return [self.spec.family, self.spec.params_str(), *map(str, fields)]
 
     def to_json(self) -> dict:
         return {
@@ -61,43 +64,30 @@ def formula_kappa(spec: FamilySpec, r: int) -> int:
     return FAMILIES[spec.family].kappa(r, **spec.arguments())
 
 
-def oracle_kappa(spec: FamilySpec, r: int) -> tuple[int, tuple[int, ...]]:
-    """Exact clique number of the r-th power, with one witness clique."""
-    witness = max_clique(power(generate(spec), r))
-    return len(witness), witness
-
-
-def _record(spec: FamilySpec, r: int, witness: tuple[int, ...]) -> NourishingRecord:
-    formula = formula_kappa(spec, r)
-    status = "agree" if formula == len(witness) else "disagree"
-    return NourishingRecord(spec, r, formula, len(witness), witness, status)
-
-
-def reconcile_cell(cell: tuple[FamilySpec, int]) -> NourishingRecord:
-    """One cell on its own, through ``oracle_kappa``; the reference for ``reconcile``."""
-    spec, r = cell
-    return _record(spec, r, oracle_kappa(spec, r)[1])
-
-
 def reconcile(cells: Iterable[tuple[FamilySpec, int]]) -> list[NourishingRecord]:
-    """One record per cell, in input order; equal to ``reconcile_cell`` on each cell.
+    """One record per cell, in input order: the formula and one maximum clique of G^r.
 
-    Each run of consecutive cells with one spec shares its graph and distance
-    matrix.  G^r for r >= the largest distance is complete, so its witness is
-    every vertex; other cells threshold the matrix exactly as ``power`` does
-    and run the same clique search.
+    Each run of consecutive cells with one spec computes its formulas first,
+    so an exponent below 1 is rejected before any graph is built, then shares
+    one graph.  r = 1 searches the graph itself; the distance matrix is built
+    only once an r >= 2 needs it.  G^r for r >= the largest distance is
+    complete, so its witness is every vertex; other cells threshold the matrix
+    exactly as ``power`` does and run the same clique search.
     """
     records = []
     for spec, run in groupby(cells, key=itemgetter(0)):
+        formulas = [(r, formula_kappa(spec, r)) for _, r in run]
         g = generate(spec)
-        dist = all_pairs_distance(g)
-        widest = max(map(max, dist))  # INF when disconnected: no power is complete
-        for _, r in run:
-            if r >= widest:
-                witness = tuple(range(g.n))
+        dist = None
+        for r, formula in formulas:
+            if r == 1:
+                witness = max_clique(g)
             else:
-                witness = max_clique(g if r == 1 else distance_graph(dist, r))
-            records.append(_record(spec, r, witness))
+                if dist is None:
+                    dist = all_pairs_distance(g)
+                    widest = max(map(max, dist))  # INF when disconnected: no power is complete
+                witness = tuple(range(g.n)) if r >= widest else max_clique(distance_graph(dist, r))
+            records.append(NourishingRecord(spec, r, formula, witness))
     return records
 
 

@@ -10,7 +10,7 @@ PUBLIC = {
     "FamilySpec", "generate", "family_cells",
     "Labeling", "VerificationReport", "construct_strong_iasi", "verify_strong_iasi",
     "induced_edge_labels",
-    "NourishingRecord", "formula_kappa", "oracle_kappa", "reconcile",
+    "NourishingRecord", "formula_kappa", "reconcile",
 }
 
 

@@ -12,9 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from nourishing import cli
+from nourishing import cli, nourish
 from nourishing.cli import main
-from nourishing.families import FamilySpec
+from nourishing.families import FamilySpec, generate
 
 DATA = Path(__file__).parent / "data"
 
@@ -232,6 +232,11 @@ class TestVerifyMalformedInput:
             ('{"s": 2, "labels": [[0, 1], [2, 2]]}', "vertex 1 has 1 elements"),
             ('{"s": 2, "labels": [[0.5, 1], [3, 7.25]]}', '"labels"'),
             ('{"s": 2, "labels": [[true, 3], [4, 9]]}', '"labels"'),
+            ('{"s": 0, "labels": [[0, 1], [2, 3]]}', "label size must be >= 1, got 0"),
+            ('{"s": -3, "labels": [[0, 1], [2, 3]]}', "label size must be >= 1, got -3"),
+            ('{"s": 2, "labels": [[], [5, 9]]}', "label of vertex 0: IntSet must be nonempty"),
+            ('{"s": 2, "labels": [[1, 2], [-5, 9]]}',
+             "label of vertex 1: IntSet elements must be non-negative, got -5"),
         ],
     )
     def test_bad_labeling_exits_2(self, capsys, tmp_path, labeling, message):
@@ -338,7 +343,45 @@ class TestReconcile:
         assert message in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (("omega", "--family", "sunlet", "--n", "5", "--r", "2"), "omega: 5\nwitness: 0 1 2 3 4\n"),
+        (("kappa", "--family", "helm", "--n", "4", "--r", "3", "--mode", "oracle"), "oracle: 7\n"),
+        (("kappa", "--family", "helm", "--n", "4", "--r", "3", "--mode", "formula"), "formula: 8\n"),
+        (("kappa", "--family", "helm", "--n", "4", "--r", "3", "--mode", "both"),
+         "formula: 8\noracle: 7\nstatus: disagree\n"),
+        (("reconcile", "--family", "wheel", "--n", "3", "--r", "1"),
+         "wheel(n=3) r=1: formula=3 oracle=4 [disagree]\n"),
+        (("gen", "--family", "path", "--m", "2"), "vertices: 3\nedges (2): 0-1 1-2\n"),
+        (("power", "--family", "path", "--m", "2", "--r", "2"), "vertices: 3\nedges (3): 0-1 0-2 1-2\n"),
+    ],
+)
+def test_table_output_pinned(capsys, argv, out):
+    assert run(capsys, *argv, "--format", "table") == (0, out, "")
+
+
 class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("reconcile",), "reconcile needs --grid or --family with ranges"),
+            (("gen", "--family", "split", "--c", "2", "--adj", "0,a"),
+             "cannot parse --adj '0,a': invalid literal for int() with base 10: 'a'"),
+            *(((cmd, "--family", "cycle", "--n", "5", "--r", r), f"power exponent must be >= 1, got {r}")
+              for cmd in ("omega", "kappa", "reconcile") for r in ("0", "-2")),
+        ],
+    )
+    def test_usage_error_message_pinned(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", message + "\n")
+
+    def test_nonpositive_r_builds_no_graph(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(nourish, "generate", lambda spec: built.append(spec) or generate(spec))
+        argv = ("omega", "--family", "complete", "--n", "1000", "--r", "0")
+        assert run(capsys, *argv) == (2, "", "power exponent must be >= 1, got 0\n")
+        assert built == []
+
     def test_missing_parser_args(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gen"])  # argparse exits 2 for missing --family

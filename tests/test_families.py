@@ -16,7 +16,7 @@ from nourishing.families import (
     generate,
 )
 from nourishing.graphcore import INF, clique_number, diameter
-from nourishing.nourish import family_cells, formula_kappa, oracle_kappa
+from nourishing.nourish import family_cells, reconcile
 
 
 class TestCounts:
@@ -190,9 +190,7 @@ def test_spec_that_exists_is_valid(drawn):
     except FamilyParameterError:
         return
     generate(spec)
-    for r in (1, 2, 3):
-        formula_kappa(spec, r)
-        oracle_kappa(spec, r)
+    reconcile([(spec, r) for r in (1, 2, 3)])
 
 
 class TestGlobalInvariants:

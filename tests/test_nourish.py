@@ -2,24 +2,24 @@
 
 from __future__ import annotations
 
-from itertools import groupby
+import functools
+from itertools import combinations, groupby
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import smallest_specs
+from conftest import bfs_power_edges, brute_force_clique_number, smallest_specs
+from nourishing import nourish
 from nourishing.families import FAMILY_NAMES, FamilySpec, generate
-from nourishing.graphcore import diameter
+from nourishing.graphcore import Graph, diameter, power
 from nourishing.nourish import (
     CSV_HEADER,
     NourishingRecord,
     default_grid,
     family_cells,
     formula_kappa,
-    oracle_kappa,
     reconcile,
-    reconcile_cell,
     records_to_csv,
     records_to_json,
     split_probe_specs,
@@ -28,6 +28,11 @@ from nourishing.nourish import (
 
 def spec_of(family: str, **params) -> FamilySpec:
     return FamilySpec.make(family, **params)
+
+
+def record_of(spec: FamilySpec, r: int) -> NourishingRecord:
+    (rec,) = reconcile([(spec, r)])
+    return rec
 
 
 class TestFormulaFixtures:
@@ -90,18 +95,18 @@ class TestFormulaFixtures:
 
 class TestOracle:
     def test_cycle_squared(self):
-        value, witness = oracle_kappa(spec_of("cycle", n=6), 2)
-        assert value == 3
-        assert len(witness) == 3
+        spec = spec_of("cycle", n=6)
+        rec = record_of(spec, 2)
+        assert rec.oracle == 3
+        g = power(generate(spec), 2)
+        assert all(v in g.neighbors(u) for u, v in combinations(rec.witness, 2))
 
     def test_wheel3_is_k4(self):
-        value, _ = oracle_kappa(spec_of("wheel", n=3), 1)
-        assert value == 4
+        assert record_of(spec_of("wheel", n=3), 1).oracle == 4
         assert formula_kappa(spec_of("wheel", n=3), 1) == 3
 
     def test_helm4_cubed(self):
-        value, _ = oracle_kappa(spec_of("helm", n=4), 3)
-        assert value == 7
+        assert record_of(spec_of("helm", n=4), 3).oracle == 7
         assert formula_kappa(spec_of("helm", n=4), 3) == 8
 
     @pytest.mark.parametrize(
@@ -109,7 +114,7 @@ class TestOracle:
         [("path", {"m": 4}), ("cycle", {"n": 7}), ("kmn", {"m": 2, "n": 3})],
     )
     def test_triangle_free_base(self, family, params):
-        assert oracle_kappa(spec_of(family, **params), 1)[0] == 2
+        assert record_of(spec_of(family, **params), 1).oracle == 2
 
     @pytest.mark.parametrize(
         "family,params",
@@ -119,11 +124,11 @@ class TestOracle:
         spec = spec_of(family, **params)
         g = generate(spec)
         d = int(diameter(g))
-        assert oracle_kappa(spec, d)[0] == g.n
+        assert record_of(spec, d).oracle == g.n
 
     def test_monotone_in_r(self):
-        spec = spec_of("sunlet", n=7)
-        values = [oracle_kappa(spec, r)[0] for r in range(1, 7)]
+        records = reconcile([(spec_of("sunlet", n=7), r) for r in range(1, 7)])
+        values = [rec.oracle for rec in records]
         assert values == sorted(values)
 
 
@@ -167,10 +172,44 @@ def cell_lists(draw) -> list[tuple[FamilySpec, int]]:
     return cells
 
 
+@functools.cache
+def bfs_oracle(spec: FamilySpec, r: int) -> tuple[int, set[tuple[int, int]], int]:
+    """Order, edge set and exhaustive clique number of G^r, built by BFS alone."""
+    g = generate(spec)
+    edges = bfs_power_edges(g.n, g.edges, r)
+    return g.n, edges, brute_force_clique_number(Graph(g.n, edges))
+
+
 @settings(max_examples=150, deadline=None)
 @given(cell_lists())
 def test_reconcile_matches_cell_by_cell(cells):
-    assert reconcile(cells) == [reconcile_cell(c) for c in cells]
+    """Each record against its own cell's oracles: the BFS power, exhaustive search, the formula."""
+    records = reconcile(cells)
+    assert [(rec.spec, rec.r) for rec in records] == cells
+    for rec in records:
+        n, edges, omega = bfs_oracle(rec.spec, rec.r)
+        assert len(set(rec.witness)) == len(rec.witness) and set(rec.witness) <= set(range(n))
+        assert all(pair in edges for pair in combinations(sorted(rec.witness), 2))
+        assert rec.oracle == omega
+        assert rec.formula == formula_kappa(rec.spec, rec.r)
+
+
+def test_runs_of_r1_build_no_distance_matrix(monkeypatch):
+    calls = []
+    real = nourish.all_pairs_distance
+    monkeypatch.setattr(nourish, "all_pairs_distance", lambda g: calls.append(g) or real(g))
+    cells = [(spec_of("helm", n=5), 1), (spec_of("cycle", n=6), 1), (spec_of("cycle", n=6), 1)]
+    assert [rec.oracle for rec in reconcile(cells)] == [3, 2, 2]
+    assert calls == []
+
+
+@pytest.mark.parametrize("rs", [[0], [1, 2, 0], [-2]])
+def test_nonpositive_r_is_rejected_before_any_graph_is_built(monkeypatch, rs):
+    built = []
+    monkeypatch.setattr(nourish, "generate", lambda spec: built.append(spec) or generate(spec))
+    with pytest.raises(ValueError, match=rf"^power exponent must be >= 1, got {min(rs)}$"):
+        reconcile([(spec_of("cycle", n=5), r) for r in rs])
+    assert built == []
 
 
 class TestOutputFormats:
