@@ -3,7 +3,7 @@
 A library and CLI for sumset/difference-set algebra on finite integer sets,
 named graph-family generation, exact graph powers and clique numbers,
 constructive strong set-indexer labelings with verification, and reconciliation
-of closed-form nourishing-number formulas against a brute-force clique oracle.
+of closed-form nourishing-number formulas against an exact clique oracle.
 """
 
 from __future__ import annotations

@@ -55,7 +55,7 @@ def _add_family_args(parser: argparse.ArgumentParser, ranged: bool = False) -> N
 
 
 def _parse_adj(text: str | None) -> list[tuple[int, ...]]:
-    if not text:
+    if text is None:
         return []
     try:
         return [tuple(int(x) for x in part.split(",")) for part in text.split(";")]
@@ -148,7 +148,7 @@ def cmd_label(args: argparse.Namespace) -> int:
     g = power(generate(_spec_from_args(args)), args.r)
     labeling = construct_strong_iasi(g, args.s_label)
     text = json.dumps(labeling.to_json())
-    if args.out:
+    if args.out is not None:
         Path(args.out).write_text(text + "\n")
     else:
         print(text)
@@ -172,7 +172,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _reconcile_cells(args: argparse.Namespace) -> list:
-    if args.grid:
+    if args.grid is not None:
         flags = ("family", *PARAM_FLAGS, "adj", "r")
         given = [_flag(name) for name in flags if getattr(args, name) is not None]
         if given:
@@ -182,12 +182,12 @@ def _reconcile_cells(args: argparse.Namespace) -> list:
     if args.family is None:
         raise FamilyParameterError("reconcile needs --grid or --family with ranges")
     ranges = {name: _parse_range(value, name) for name, value in _family_params(args).items()}
-    r_range = _parse_range(args.r, "r") if args.r else None
+    r_range = _parse_range(args.r, "r") if args.r is not None else None
     return family_cells(args.family, ranges, r_range, _parse_adj(args.adj))
 
 
 def cmd_reconcile(args: argparse.Namespace) -> int:
-    if args.expect_golden:
+    if args.expect_golden is not None:
         if args.format != "csv":
             raise FamilyParameterError("--expect-golden requires --format csv")
         golden = Path(args.expect_golden).read_text()
@@ -204,7 +204,7 @@ def cmd_reconcile(args: argparse.Namespace) -> int:
         ]
         output = "\n".join(lines) + "\n"
     sys.stdout.write(output)
-    if args.expect_golden and output != golden:
+    if args.expect_golden is not None and output != golden:
         print("reconciliation output deviates from the golden table", file=sys.stderr)
         return CHECK_FAILED
     return 0

@@ -95,25 +95,24 @@ class VerificationReport:
     ``edge-collision`` (two edges share a sumset), and
     ``non-multiplicative-edge`` (an edge sumset smaller than |f(u)|*|f(v)|).
     Witnesses name the offending vertices or edges, deterministically ordered.
+    Both verdicts are read off the failures, so they cannot contradict them.
     """
 
-    is_iasi: bool
-    is_strong: bool
     failures: tuple[tuple[str, tuple], ...]
 
+    @property
+    def is_iasi(self) -> bool:
+        """Vertex and edge maps injective: no collision failure."""
+        return not any(kind in ("vertex-collision", "edge-collision") for kind, _ in self.failures)
+
+    @property
+    def is_strong(self) -> bool:
+        """An IASI whose every edge sumset is maximal: no failure at all."""
+        return not self.failures
+
     def to_json(self) -> dict:
-        return {
-            "is_iasi": self.is_iasi,
-            "is_strong": self.is_strong,
-            "failures": [
-                {"kind": kind, "witness": _witness_json(witness)}
-                for kind, witness in self.failures
-            ],
-        }
-
-
-def _witness_json(witness: tuple) -> list:
-    return [list(w) if isinstance(w, tuple) else w for w in witness]
+        failures = [{"kind": kind, "witness": witness} for kind, witness in self.failures]
+        return {"is_iasi": self.is_iasi, "is_strong": self.is_strong, "failures": failures}
 
 
 def greedy_coloring(g: Graph) -> list[int]:
@@ -194,17 +193,14 @@ def _collisions(kind: str, labelled: Iterable[tuple[object, IntSet]]) -> list[tu
 def verify_strong_iasi(g: Graph, labeling: Labeling) -> VerificationReport:
     """Check injectivity and the strong (maximal-sumset) condition.
 
-    ``is_iasi`` and ``is_strong`` are computed independently: the strong check
-    runs per edge even when injectivity already failed.
+    Every failure is listed: the strong check runs per edge even when
+    injectivity already failed.  Every label has ``label_size`` elements, so
+    an edge sumset is maximal when it has ``label_size ** 2``.
     """
     edge_labels = induced_edge_labels(g, labeling)
-    failures = (_collisions("vertex-collision", enumerate(labeling.labels))
-                + _collisions("edge-collision", edge_labels.items()))
-    is_iasi = not failures
-    weak = [("non-multiplicative-edge", ((u, v),)) for (u, v), lab in edge_labels.items()
-            if len(lab) != len(labeling[u]) * len(labeling[v])]
-    return VerificationReport(
-        is_iasi=is_iasi,
-        is_strong=is_iasi and not weak,
-        failures=tuple(failures + weak),
-    )
+    full = labeling.label_size ** 2
+    return VerificationReport((
+        *_collisions("vertex-collision", enumerate(labeling.labels)),
+        *_collisions("edge-collision", edge_labels.items()),
+        *(("non-multiplicative-edge", (e,)) for e, lab in edge_labels.items() if len(lab) != full),
+    ))

@@ -1,9 +1,10 @@
-"""Closed-form nourishing numbers, the brute-force oracle, and reconciliation.
+"""Closed-form nourishing numbers and their reconciliation with the clique oracle.
 
 The nourishing number of a graph equals the order of a maximum clique, so the
-oracle is exact clique search on the powered graph.  The formula side is each
-family's published value from ``families.FAMILIES``, transcribed verbatim;
-the reconciliation engine's whole point is surfacing formula/oracle
+oracle is exact clique search (``graphcore.max_clique``) on the powered graph;
+the brute force that checks it lives in ``tests/conftest.py``.  The formula
+side is each family's published value from ``families.FAMILIES``, transcribed
+verbatim; the reconciliation engine's whole point is surfacing formula/oracle
 disagreements, not patching them.
 """
 
@@ -23,7 +24,7 @@ from nourishing.graphcore import all_pairs_distance, diameter, distance_graph, m
 
 @dataclass(frozen=True)
 class NourishingRecord:
-    """One reconciliation cell: formula value vs brute-force clique value.
+    """One reconciliation cell: formula value vs exact clique value.
 
     ``oracle`` and ``status`` are read off ``witness`` and ``formula``, so a
     record cannot contradict itself.

@@ -370,10 +370,27 @@ class TestUsageErrors:
              "cannot parse --adj '0,a': invalid literal for int() with base 10: 'a'"),
             *(((cmd, "--family", "cycle", "--n", "5", "--r", r), f"power exponent must be >= 1, got {r}")
               for cmd in ("omega", "kappa", "reconcile") for r in ("0", "-2")),
+            (("reconcile", "--family", "cycle", "--n", "3", "--r", ""),
+             "cannot parse --r '': invalid literal for int() with base 10: ''"),
+            (("gen", "--family", "cycle", "--n", "4", "--adj", ""),
+             "cannot parse --adj '': invalid literal for int() with base 10: ''"),
         ],
     )
     def test_usage_error_message_pinned(self, capsys, argv, message):
         assert run(capsys, *argv) == (2, "", message + "\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("reconcile", "--grid", "audit", "--format", "csv", "--expect-golden", ""),
+            ("label", "--family", "cycle", "--n", "4", "--out", ""),
+        ],
+    )
+    def test_empty_file_name_exits_2(self, capsys, argv):
+        """An empty file name is a given one: no file, so a usage error, never a silent skip."""
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
 
     def test_nonpositive_r_builds_no_graph(self, capsys, monkeypatch):
         built = []

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import pytest
 
 from nourishing.families import FamilySpec, generate
 from nourishing.graphcore import Graph, clique_number, power
 from nourishing.iasi import (
     Labeling,
+    VerificationReport,
     construct_strong_iasi,
     greedy_coloring,
     induced_edge_labels,
@@ -138,6 +142,58 @@ class TestVerifier:
         data = report.to_json()
         assert data["is_strong"] is False
         assert data["failures"][0]["kind"] == "non-multiplicative-edge"
+
+
+class TestReportVerdicts:
+    """Both verdicts are read off the failure list, the report's only field."""
+
+    def test_failures_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(VerificationReport)] == ["failures"]
+        assert isinstance(VerificationReport.is_iasi, property)
+        assert isinstance(VerificationReport.is_strong, property)
+
+    @pytest.mark.parametrize(
+        "failures, is_iasi, is_strong",
+        [
+            ((), True, True),
+            ((("non-multiplicative-edge", ((0, 1),)),), True, False),
+            ((("non-multiplicative-edge", ((0, 1),)), ("non-multiplicative-edge", ((1, 2),))),
+             True, False),
+            ((("vertex-collision", (0, 2)),), False, False),
+            ((("edge-collision", ((0, 1), (2, 3))),), False, False),
+            ((("edge-collision", ((0, 1), (2, 3))), ("non-multiplicative-edge", ((0, 1),))),
+             False, False),
+        ],
+    )
+    def test_verdicts_from_failure_tuples(self, failures, is_iasi, is_strong):
+        report = VerificationReport(failures)
+        assert (report.is_iasi, report.is_strong) == (is_iasi, is_strong)
+        assert report.to_json()["is_iasi"] is is_iasi
+        assert report.to_json()["is_strong"] is is_strong
+
+    def test_json_bytes(self):
+        report = VerificationReport(
+            (("vertex-collision", (0, 2)), ("edge-collision", ((0, 1), (1, 2))),
+             ("non-multiplicative-edge", ((0, 1),)))
+        )
+        assert json.dumps(report.to_json()) == (
+            '{"is_iasi": false, "is_strong": false, "failures": ['
+            '{"kind": "vertex-collision", "witness": [0, 2]}, '
+            '{"kind": "edge-collision", "witness": [[0, 1], [1, 2]]}, '
+            '{"kind": "non-multiplicative-edge", "witness": [[0, 1]]}]}'
+        )
+
+    def test_failure_order_is_vertex_edge_then_strong(self):
+        # vertices 0 and 2 share a label, so edges 0-1 and 1-2 share a sumset,
+        # and both sumsets are short
+        g = Graph(3, [(0, 1), (1, 2)])
+        lab = Labeling((IntSet([1, 2]), IntSet([2, 3]), IntSet([1, 2])), 2)
+        assert verify_strong_iasi(g, lab).failures == (
+            ("vertex-collision", (0, 2)),
+            ("edge-collision", ((0, 1), (1, 2))),
+            ("non-multiplicative-edge", ((0, 1),)),
+            ("non-multiplicative-edge", ((1, 2),)),
+        )
 
 
 class TestConstructor:

@@ -194,6 +194,22 @@ def test_reconcile_matches_cell_by_cell(cells):
         assert rec.formula == formula_kappa(rec.spec, rec.r)
 
 
+def test_default_grid_against_bfs_power_and_brute_force():
+    """Every default-grid witness is a maximal clique of the BFS power; small cells match exhaustive search."""
+    small = 0
+    for rec in reconcile(default_grid()):
+        g = generate(rec.spec)
+        edges = bfs_power_edges(g.n, g.edges, rec.r)
+        assert len(set(rec.witness)) == len(rec.witness) and set(rec.witness) <= set(range(g.n))
+        assert all(pair in edges for pair in combinations(sorted(rec.witness), 2))
+        outside = set(range(g.n)) - set(rec.witness)
+        assert not any(all((min(u, v), max(u, v)) in edges for u in rec.witness) for v in outside)
+        if g.n <= 10:
+            small += 1
+            assert rec.oracle == brute_force_clique_number(Graph(g.n, edges))
+    assert small == 601
+
+
 def test_runs_of_r1_build_no_distance_matrix(monkeypatch):
     calls = []
     real = nourish.all_pairs_distance
