@@ -18,7 +18,7 @@ import argparse
 import functools
 import json
 import sys
-from pathlib import Path
+from typing import NoReturn
 
 from nourishing.families import FAMILY_PARAMS, FamilyParameterError, FamilySpec, generate
 from nourishing.graphcore import Graph, power
@@ -38,6 +38,11 @@ USAGE_ERROR = 2
 CHECK_FAILED = 1
 GRIDS = ("default", "acceptance", "audit")  # each names the function <name>_grid
 PARAM_FLAGS = ("m", "n", "c", "s")  # every family parameter, in flag order
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(f"{self.prog}: {message}")  # so main reports it in one line
 
 
 def _add_family_args(parser: argparse.ArgumentParser, ranged: bool = False) -> None:
@@ -149,7 +154,8 @@ def cmd_label(args: argparse.Namespace) -> int:
     labeling = construct_strong_iasi(g, args.s_label)
     text = json.dumps(labeling.to_json())
     if args.out is not None:
-        Path(args.out).write_text(text + "\n")
+        with open(args.out, "w") as file:
+            print(text, file=file)
     else:
         print(text)
     return 0
@@ -157,7 +163,8 @@ def cmd_label(args: argparse.Namespace) -> int:
 
 def _read_json(path: str) -> object:
     try:
-        return json.loads(Path(path).read_text())
+        with open(path) as file:  # a name as given: "" is no file, where Path("") is "."
+            return json.load(file)
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
 
@@ -190,7 +197,8 @@ def cmd_reconcile(args: argparse.Namespace) -> int:
     if args.expect_golden is not None:
         if args.format != "csv":
             raise FamilyParameterError("--expect-golden requires --format csv")
-        golden = Path(args.expect_golden).read_text()
+        with open(args.expect_golden) as file:
+            golden = file.read()
     records = reconcile(_reconcile_cells(args))
     if args.format == "json":
         output = records_to_json(records)
@@ -213,7 +221,7 @@ def cmd_reconcile(args: argparse.Namespace) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``nourish`` parser, built once per process; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nourish",
         description="Strong set-indexer labelings, graph powers, and nourishing numbers.",
     )
@@ -260,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # looked up at call time, like the grids, so a wrapped or patched handler is the one called
         return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError) as exc:  # FamilyParameterError and JSONDecodeError included

@@ -1,13 +1,13 @@
 """Simple-graph core: BFS distances, graph powers, diameter, exact max clique.
 
 Graphs are simple and undirected with vertices 0..n-1, immutable after
-construction.  Each graph stores its adjacency once, one neighbour frozenset
-per vertex, plus its edge count; ``edges`` is a frozenset built on demand
-from that adjacency, and ``sorted_edges()`` is its ordered form.  Clique
-search is exact Bron-Kerbosch with pivoting, run on an explicit stack; a
-complete graph skips the search, which serves r = 1 cells and library callers
-of ``max_clique``/``clique_number`` (``reconcile`` answers complete powers of
-r >= 2 without calling the search at all).
+construction.  A graph is the tuple of its vertices' neighbour frozensets;
+``edges`` is a frozenset built on demand from that adjacency, and
+``sorted_edges()`` is its ordered form.  Clique search is exact Bron-Kerbosch
+with pivoting, run on an explicit stack; a complete graph skips the search,
+which serves r = 1 cells and library callers of ``max_clique``/
+``clique_number`` (``reconcile`` answers complete powers of r >= 2 without
+calling the search at all).
 """
 
 from __future__ import annotations
@@ -20,21 +20,20 @@ from typing import Iterable, Sequence
 INF = math.inf
 
 
-class Graph:
+class Graph(tuple):
     """An immutable simple undirected graph on vertices 0..n-1.
 
-    The adjacency is stored once, as one neighbour frozenset per vertex, with
-    the edge count beside it.  ``edges`` is a frozenset of the canonical
+    A tuple of neighbour frozensets: item v is ``neighbors(v)`` and ``len(g)``
+    is ``n``.  Equality and hashing are the tuple's, so a graph equals the
+    plain tuple of the same sets.  ``edges`` is a frozenset of the canonical
     ``(u, v)`` pairs, ``u < v``, built from the adjacency on each access, so
     it iterates in set order and its length costs O(m); ``sorted_edges()`` is
     the ordered form.
     """
 
-    __slots__ = ("n", "_adj", "_m")
+    __slots__ = ()
 
-    n: int
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+    def __new__(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         if n < 1:
             raise ValueError(f"vertex count must be >= 1, got {n}")
         adj: list[set[int]] = [set() for _ in range(n)]
@@ -45,46 +44,35 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             adj[u].add(v)
             adj[v].add(u)
-        self._set(n, tuple(map(frozenset, adj)))
+        return cls._from_adjacency(map(frozenset, adj))
 
     @classmethod
-    def _from_adjacency(cls, adj: tuple[frozenset[int], ...]) -> "Graph":
+    def _from_adjacency(cls, adj: Iterable[frozenset[int]]) -> "Graph":
         """A graph on an already symmetric, loop-free adjacency, taken as is."""
-        g = object.__new__(cls)
-        g._set(len(adj), adj)
-        return g
+        return tuple.__new__(cls, adj)
 
-    def _set(self, n: int, adj: tuple[frozenset[int], ...]) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_adj", adj)
-        object.__setattr__(self, "_m", sum(map(len, adj)) // 2)
+    def __getnewargs__(self) -> tuple[int, list[tuple[int, int]]]:
+        return self.n, self.sorted_edges()
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Graph is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Graph):
-            return self._adj == other._adj
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._adj)
+    @property
+    def n(self) -> int:
+        return len(self)
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={self._m})"
+        return f"Graph(n={self.n}, m={sum(map(len, self)) // 2})"
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset((u, v) for u, nbrs in enumerate(self._adj) for v in nbrs if v > u)
+        return frozenset((u, v) for u, nbrs in enumerate(self) for v in nbrs if v > u)
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self._adj[v]
+        return self[v]
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return len(self[v])
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u, nbrs in enumerate(self._adj) for v in sorted(nbrs) if v > u]
+        return [(u, v) for u, nbrs in enumerate(self) for v in sorted(nbrs) if v > u]
 
     def to_json(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in self.sorted_edges()]}
@@ -122,7 +110,6 @@ class Graph:
 
 def all_pairs_distance(g: Graph) -> list[list[float]]:
     """Symmetric n x n matrix of shortest-path hop counts (INF if disconnected)."""
-    adj = g._adj
     rows = []
     for source in range(g.n):
         dist: list[float] = [INF] * g.n
@@ -130,7 +117,7 @@ def all_pairs_distance(g: Graph) -> list[list[float]]:
         queue = deque([source])
         while queue:
             u = queue.popleft()
-            for w in adj[u]:
+            for w in g[u]:
                 if dist[w] == INF:
                     dist[w] = dist[u] + 1
                     queue.append(w)
@@ -155,13 +142,13 @@ def power(g: Graph, r: int) -> Graph:
 def distance_graph(dist: Sequence[Sequence[float]], r: int) -> Graph:
     """The graph joining each pair of vertices at distance <= r in ``dist``,
     a symmetric matrix such as ``all_pairs_distance`` returns."""
-    return Graph._from_adjacency(tuple(
+    return Graph._from_adjacency(
         frozenset(v for v, d in enumerate(row) if d <= r and v != u) for u, row in enumerate(dist)
-    ))
+    )
 
 
 def is_complete(g: Graph) -> bool:
-    return g._m == g.n * (g.n - 1) // 2
+    return sum(map(len, g)) == g.n * (g.n - 1)
 
 
 def max_clique(g: Graph) -> tuple[int, ...]:
@@ -174,7 +161,6 @@ def max_clique(g: Graph) -> tuple[int, ...]:
     """
     if is_complete(g):
         return tuple(range(g.n))
-    adj = g._adj
     best: tuple[int, ...] = ()
     stack = [((), set(range(g.n)), set())]
     while stack:
@@ -185,10 +171,10 @@ def max_clique(g: Graph) -> tuple[int, ...]:
             continue
         if len(clique) + len(candidates) <= len(best):
             continue
-        pivot = max(sorted(candidates | excluded), key=lambda u: len(candidates & adj[u]))
+        pivot = max(sorted(candidates | excluded), key=lambda u: len(candidates & g[u]))
         branches = []
-        for v in sorted(candidates - adj[pivot]):
-            branches.append((clique + (v,), candidates & adj[v], excluded & adj[v]))
+        for v in sorted(candidates - g[pivot]):
+            branches.append((clique + (v,), candidates & g[v], excluded & g[v]))
             candidates.remove(v)
             excluded.add(v)
         stack.extend(reversed(branches))

@@ -384,13 +384,18 @@ class TestUsageErrors:
         [
             ("reconcile", "--grid", "audit", "--format", "csv", "--expect-golden", ""),
             ("label", "--family", "cycle", "--n", "4", "--out", ""),
+            ("verify", "--graph", "", "--labeling", "l.json"),
+            ("verify", "--graph", "g.json", "--labeling", ""),
         ],
     )
-    def test_empty_file_name_exits_2(self, capsys, argv):
-        """An empty file name is a given one: no file, so a usage error, never a silent skip."""
+    def test_empty_file_name_exits_2(self, capsys, tmp_path, monkeypatch, argv):
+        """An empty file name is a given one: no file, so a usage error that names it, never '.'."""
+        monkeypatch.chdir(tmp_path)
+        Path("g.json").write_text('{"n": 2, "edges": [[0, 1]]}')
+        Path("l.json").write_text('{"s": 1, "labels": [[0], [1]]}')
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err.count("\n") == 1
+        assert err == "[Errno 2] No such file or directory: ''\n"
 
     def test_nonpositive_r_builds_no_graph(self, capsys, monkeypatch):
         built = []
@@ -400,10 +405,29 @@ class TestUsageErrors:
         assert built == []
 
     def test_missing_parser_args(self, capsys):
+        assert run(capsys, "gen") == (2, "", "nourish gen: the following arguments are required: --family\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ((), "nourish: the following arguments are required: command"),
+            (("gen", "--n", "3"), "nourish gen: the following arguments are required: --family"),
+            (("gen", "--family", "cycle", "--n", "x"), "nourish gen: argument --n: invalid int value: 'x'"),
+            (("reconcile", "--grid", "nope"), "nourish reconcile: argument --grid: invalid choice: 'nope'"),
+            (("gen", "--family", "cycle", "--n", "3", "--bogus"), "nourish: unrecognized arguments: --bogus"),
+        ],
+    )
+    def test_argparse_error_is_one_stderr_line(self, capsys, argv, message):
+        """Argparse's own errors take main's exit: 2, nothing on stdout, one line on stderr."""
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(message) and err.count("\n") == 1 and err.endswith("\n")
+
+    def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["gen"])  # argparse exits 2 for missing --family
-        assert exc.value.code == 2
-        capsys.readouterr()
+            main(["gen", "--help"])
+        assert exc.value.code == 0
+        assert "--family" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "argv, message",

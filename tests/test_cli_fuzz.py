@@ -1,9 +1,9 @@
 """Fuzzed CLI input: whatever the argv or the verify files, ``main`` ends in exit 0, 1 or 2.
 
-Argparse's own usage errors raise ``SystemExit(2)``; any other exception
-escaping ``main`` is a crash.  A returned 2 prints one stderr line and nothing
-on stdout, and the same input twice prints the same stdout.  No value exceeds
-12, so every drawn input is small.
+Any exception escaping ``main`` is a crash, argparse's ``SystemExit``
+included.  A returned 2 prints one stderr line and nothing on stdout, and the
+same input twice prints the same stdout.  No value exceeds 12, so every drawn
+input is small.
 """
 
 from __future__ import annotations
@@ -39,27 +39,21 @@ FUZZ = settings(max_examples=300, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
-def outcome(capsys, argv: list[str]) -> tuple[int, bool, str, str]:
-    """Exit code, whether argparse raised it, stdout and stderr of one in-process run."""
+def outcome(capsys, argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process run."""
     capsys.readouterr()
-    try:
-        code, raised = main(argv), False
-    except SystemExit as exc:
-        code, raised = exc.code, True
+    code = main(argv)
     out, err = capsys.readouterr()
-    return code, raised, out, err
+    return code, out, err
 
 
 def check_exits_cleanly(capsys, argv: list[str]) -> int:
-    code, raised, out, err = outcome(capsys, argv)
-    if raised:
-        assert code == 2, (argv, err)
-    else:
-        assert code in (0, 1, 2), (argv, code)
-        if code == 2:
-            assert out == "", argv
-            assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
-    assert outcome(capsys, argv)[2] == out, argv
+    code, out, err = outcome(capsys, argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code == 2:
+        assert out == "", argv
+        assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+    assert outcome(capsys, argv)[1] == out, argv
     return code
 
 

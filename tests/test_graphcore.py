@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import inspect
 import json
+import pickle
 import sys
 from itertools import combinations
 
@@ -91,6 +93,16 @@ def test_graph_stores_canonical_edges(drawn, rnd):
     h = Graph(n, shuffled)
     assert h == g
     assert hash(h) == hash(g)
+    nbrs = tuple(frozenset(w for e in canon if v in e for w in e if w != v) for v in range(n))
+    assert g == nbrs and hash(g) == hash(nbrs)
+    assert len(g) == g.n == n
+    assert all(g[v] == g.neighbors(v) == nbrs[v] for v in range(n))
+    assert repr(g) == f"Graph(n={n}, m={len(canon)})"
+    for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert type(twin) is Graph and twin == g
+    for name in ("n", "edges", "other"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, 0)
     pairs = n * (n - 1) // 2
     reach = [bfs_power_edges(n, canon, r) for r in range(n + 2)]
     for r in range(1, n + 2):
