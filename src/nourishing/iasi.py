@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from nourishing.graphcore import Graph
-from nourishing.setalg import IntSet, make_difference_chain, sumset
+from nourishing.setalg import IntSet, make_difference_chain
 
 
 @dataclass(frozen=True)
@@ -175,17 +175,24 @@ def construct_strong_iasi(g: Graph, s: int = 2) -> Labeling:
     return Labeling(labels, s, chain_length=k)
 
 
-def induced_edge_labels(g: Graph, labeling: Labeling) -> dict[tuple[int, int], IntSet]:
-    """Each edge mapped to the sumset of its endpoint labels."""
+def induced_edge_labels(g: Graph, labeling: Labeling) -> dict[tuple[int, int], tuple[int, ...]]:
+    """Each edge mapped to the sumset of its endpoint labels.
+
+    A sumset is a plain ascending tuple of its elements: it equals, and
+    hashes like, the ``IntSet`` that ``setalg.sumset`` would build, without
+    that constructor's per-edge validation (the sum of two valid labels is
+    nonempty and non-negative).
+    """
     labeling.check_covers(g.n)
+    L = labeling.labels
     return {
-        (u, v): sumset(labeling[u], labeling[v]) for u, v in g.sorted_edges()
+        (u, v): tuple(sorted({x + y for x in L[u] for y in L[v]})) for u, v in g.sorted_edges()
     }
 
 
-def _collisions(kind: str, labelled: Iterable[tuple[object, IntSet]]) -> list[tuple[str, tuple]]:
+def _collisions(kind: str, labelled: Iterable[tuple[object, tuple]]) -> list[tuple[str, tuple]]:
     """One ``(kind, (first, later))`` failure per key whose label an earlier key already has."""
-    seen: dict[IntSet, object] = {}
+    seen: dict[tuple, object] = {}
     return [(kind, (first, key)) for key, lab in labelled
             if (first := seen.setdefault(lab, key)) != key]
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -165,6 +167,38 @@ class TestLabelVerify:
         code, out, _ = run(capsys, "label", "--family", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+@pytest.fixture(scope="module")
+def friendship_150_squared(tmp_path_factory) -> Path:
+    """Graph and labelling files of friendship n=150 squared (K_301, 45,150 edges),
+    written by the CLI, plus ``bad.json``: the labelling with vertex 1's label
+    replaced by vertex 0's."""
+    directory = tmp_path_factory.mktemp("friendship_150")
+    spec = ("--family", "friendship", "--n", "150", "--r", "2")
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["power", *spec]) == 0
+    (directory / "g.json").write_text(out.getvalue())
+    assert main(["label", *spec, "--out", str(directory / "l.json")]) == 0
+    labeling = json.loads((directory / "l.json").read_text())
+    labeling["labels"][1] = labeling["labels"][0]
+    (directory / "bad.json").write_text(json.dumps(labeling))
+    return directory
+
+
+@pytest.mark.parametrize(
+    "labeling, exit_code, digest",
+    [
+        ("l.json", 0, "3752dfacec6f0e18276956d94b91bdae03f080ae465200f6d60d7eaf5c84a435"),
+        ("bad.json", 1, "7d178b85cb12ac36111d33215b9061d17d10ab606e041dbabaddd3f6191b8fa3"),
+    ],
+    ids=["intact", "duplicated"],
+)
+def test_verify_dense_output_pinned(capsys, friendship_150_squared, labeling, exit_code, digest):
+    code, out, _ = run(capsys, "verify", "--graph", str(friendship_150_squared / "g.json"),
+                       "--labeling", str(friendship_150_squared / labeling))
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestVerifyMalformedInput:

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nourishing.families import FamilySpec, generate
 from nourishing.graphcore import Graph, clique_number, power
@@ -18,7 +21,7 @@ from nourishing.iasi import (
     sidon_sequence,
     verify_strong_iasi,
 )
-from nourishing.setalg import IntSet, difference_set
+from nourishing.setalg import IntSet, difference_set, sumset
 
 
 def single_edge() -> Graph:
@@ -265,3 +268,61 @@ class TestTranslationLemma:
         assert not report.is_iasi
         assert ("vertex-collision", (0, 2)) in report.failures
         assert all(kind != "non-multiplicative-edge" for kind, _ in report.failures)
+
+
+def slow_failures(g: Graph, lab: Labeling) -> tuple[tuple[str, tuple], ...]:
+    """The verifier's failure list written from the definitions: each later vertex
+    or edge whose label an earlier one has, paired with the earliest such one,
+    then each edge whose sumset has fewer than |f(u)|*|f(v)| elements."""
+    n = len(lab)
+    edges = [(u, v) for u in range(n) for v in sorted(g.neighbors(u)) if u < v]
+    sums = [{x + y for x in lab[u] for y in lab[v]} for u, v in edges]
+
+    def first_equal(labels: list) -> list[tuple[int, int]]:
+        """(i, j) for each j whose label an earlier index has, i the earliest such."""
+        pairs = []
+        for j, b in enumerate(labels):
+            earlier = [i for i in range(j) if labels[i] == b]
+            if earlier:
+                pairs.append((earlier[0], j))
+        return pairs
+
+    vertex = [("vertex-collision", pair) for pair in first_equal([set(a) for a in lab.labels])]
+    edge = [("edge-collision", (edges[i], edges[j])) for i, j in first_equal(sums)]
+    short = [("non-multiplicative-edge", ((u, v),)) for (u, v), c in zip(edges, sums)
+             if len(c) != len(lab[u]) * len(lab[v])]
+    return tuple(vertex + edge + short)
+
+
+@st.composite
+def labelled_graphs(draw) -> tuple[Graph, Labeling]:
+    """A graph on at most 8 vertices and a size-s labeling, some labels copied
+    from another vertex and some rebuilt to share a difference with a neighbour."""
+    n = draw(st.integers(1, 8))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    s = draw(st.integers(1, 3))
+    elements = st.lists(st.integers(0, 30), min_size=s, max_size=s, unique=True)
+    labels = [IntSet(draw(elements)) for _ in range(n)]
+    for v in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        labels[v] = labels[draw(st.integers(0, n - 1))]
+    if s > 1 and edges:
+        for u, v in draw(st.lists(st.sampled_from(edges), max_size=3)):
+            # {a, a + d} shares u's difference d; the rest lies above every drawn element
+            d = labels[u][1] - labels[u][0]
+            a = draw(st.integers(0, 30))
+            rest = draw(st.lists(st.integers(61, 90), min_size=s - 2, max_size=s - 2, unique=True))
+            labels[v] = IntSet([a, a + d, *rest])
+    return Graph(n, edges), Labeling(tuple(labels), s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_graphs())
+def test_verifier_matches_slow_oracle(drawn):
+    g, lab = drawn
+    assert verify_strong_iasi(g, lab).failures == slow_failures(g, lab)
+    edge_labels = induced_edge_labels(g, lab)
+    assert list(edge_labels) == g.sorted_edges()
+    for (u, v), label in edge_labels.items():
+        assert label == sumset(lab[u], lab[v])
+        assert hash(label) == hash(sumset(lab[u], lab[v]))
