@@ -4,7 +4,8 @@ Graphs are simple and undirected with vertices 0..n-1, immutable after
 construction.  A graph is the tuple of its vertices' neighbour frozensets;
 ``edges`` is a frozenset built on demand from that adjacency, and
 ``sorted_edges()`` is its ordered form.  Clique search is exact Bron-Kerbosch
-with pivoting, run on an explicit stack; a complete graph skips the search,
+with pivoting, run on an explicit stack over int bitmasks (one neighbour mask
+per vertex, built per search); a complete graph skips the search,
 which serves r = 1 cells and library callers of ``max_clique``/
 ``clique_number`` (``reconcile`` answers complete powers of r >= 2 without
 calling the search at all).
@@ -155,28 +156,43 @@ def max_clique(g: Graph) -> tuple[int, ...]:
     """One maximum clique, as a sorted vertex tuple.  Exact.
 
     Bron-Kerbosch with pivoting on an explicit stack of ``(clique, candidates,
-    excluded)`` frames.  The pivot has the most candidate neighbours, ties going
-    to the lowest vertex, and branches run lowest vertex first; the witness is
-    the first largest clique found.  Complete graphs skip the search.
+    excluded)`` frames, where candidates and excluded are int bitmasks over a
+    local list of neighbour bitmasks.  The pivot has the most candidate
+    neighbours, ties going to the lowest vertex, and branches run lowest vertex
+    first; the witness is the first largest clique found.  Complete graphs skip
+    the search.
     """
     if is_complete(g):
         return tuple(range(g.n))
+    adj = [sum(1 << w for w in nbrs) for nbrs in g]
     best: tuple[int, ...] = ()
-    stack = [((), set(range(g.n)), set())]
+    stack = [((), (1 << g.n) - 1, 0)]
     while stack:
         clique, candidates, excluded = stack.pop()
         if not candidates and not excluded:
             if len(clique) > len(best):
                 best = tuple(sorted(clique))
             continue
-        if len(clique) + len(candidates) <= len(best):
+        if len(clique) + candidates.bit_count() <= len(best):
             continue
-        pivot = max(sorted(candidates | excluded), key=lambda u: len(candidates & g[u]))
+        pivot, most = -1, -1
+        pool = candidates | excluded
+        while pool:
+            low = pool & -pool
+            u = low.bit_length() - 1
+            k = (candidates & adj[u]).bit_count()
+            if k > most:
+                pivot, most = u, k
+            pool ^= low
         branches = []
-        for v in sorted(candidates - g[pivot]):
-            branches.append((clique + (v,), candidates & g[v], excluded & g[v]))
-            candidates.remove(v)
-            excluded.add(v)
+        rest = candidates & ~adj[pivot]
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            branches.append((clique + (v,), candidates & adj[v], excluded & adj[v]))
+            candidates ^= low
+            excluded |= low
+            rest ^= low
         stack.extend(reversed(branches))
     return best
 

@@ -15,7 +15,9 @@ The constructor works in three deterministic steps:
    M exceeds twice the largest base element.  The greedy terms come from one
    bitmask of blocked integers above the last term: every sum t + d of a term
    and a difference between terms is blocked, and the next term is the lowest
-   free integer.
+   free integer.  Blocking c + d for each new term c and each difference d
+   also blocks every old term plus a new difference, since
+   t + (c - t') = c + (t - t').
 
 Distinct translates keep vertices injective; Sidon offsets place every edge
 sumset in its own disjoint window, so edge labels are injective; translation
@@ -138,7 +140,10 @@ def sidon_sequence(count: int) -> list[int]:
     difference d between two terms: last + i - t would repeat d, so last + i
     cannot be a later term.  The next term is last + the lowest clear bit
     above bit 0.  No later term lies at or below the last one, so the mask is
-    shifted down by each step and holds only what lies ahead.
+    shifted down by each step and holds only what lies ahead.  ORing in
+    ``diffs`` after each new term c blocks c + d for every difference d, and
+    that covers every old term t plus a new difference c - t' as well, since
+    t + (c - t') = c + (t - t').
     """
     terms: list[int] = []
     diffs = 0  # bit d set for every difference d between two terms
@@ -152,8 +157,6 @@ def sidon_sequence(count: int) -> list[int]:
         new = 0
         for t in terms:
             new |= 1 << (c - t)
-        for t in terms:
-            ahead |= new >> (c - t)
         diffs |= new
         ahead |= diffs
         terms.append(c)

@@ -18,6 +18,35 @@ def brute_force_clique_number(g: Graph) -> int:
     return 0
 
 
+def reference_max_clique(g: Graph) -> tuple[int, ...]:
+    """The frozenset Bron-Kerbosch search that ``graphcore.max_clique`` runs on bitmasks.
+
+    Same pivot rule (most candidate neighbours, ties to the lowest vertex) and
+    lowest-vertex-first branches, so its witness is the one the library must
+    return.
+    """
+    if sum(map(len, g)) == g.n * (g.n - 1):
+        return tuple(range(g.n))
+    best: tuple[int, ...] = ()
+    stack = [((), set(range(g.n)), set())]
+    while stack:
+        clique, candidates, excluded = stack.pop()
+        if not candidates and not excluded:
+            if len(clique) > len(best):
+                best = tuple(sorted(clique))
+            continue
+        if len(clique) + len(candidates) <= len(best):
+            continue
+        pivot = max(sorted(candidates | excluded), key=lambda u: len(candidates & g[u]))
+        branches = []
+        for v in sorted(candidates - g[pivot]):
+            branches.append((clique + (v,), candidates & g[v], excluded & g[v]))
+            candidates.remove(v)
+            excluded.add(v)
+        stack.extend(reversed(branches))
+    return best
+
+
 def bfs_power_edges(n: int, pairs: set[tuple[int, int]], r: int) -> set[tuple[int, int]]:
     """Pairs at hop distance 1..r: r rounds of breadth-first expansion over ``pairs`` alone."""
     nbrs: dict[int, set[int]] = {v: set() for v in range(n)}

@@ -7,13 +7,14 @@ import inspect
 import json
 import pickle
 import sys
+import time
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bfs_power_edges, brute_force_clique_number
+from conftest import bfs_power_edges, brute_force_clique_number, reference_max_clique
 from nourishing.families import FamilySpec, generate
 from nourishing.graphcore import (
     INF,
@@ -245,6 +246,16 @@ class TestClique:
             sys.setrecursionlimit(limit)
         assert len(witness) == 301
 
+    def test_large_split_graph_searches_fast(self):
+        """The first descent of ksplit c=1100 s=2 is about 1100 frames deep."""
+        g = generate(FamilySpec.make("ksplit", c=1100, s=2))
+        start = time.perf_counter()
+        witness = max_clique(g)
+        elapsed = time.perf_counter() - start
+        assert len(witness) == 1101
+        assert all(v in g[u] for u, v in combinations(witness, 2))
+        assert elapsed < 5.0, elapsed
+
     @pytest.mark.parametrize(
         "family,n,r,witness",
         [
@@ -271,3 +282,27 @@ def test_witness_independent_of_edge_order(drawn, rnd):
     g = Graph(n, shuffled)
     assert max_clique(g) == witness
     assert len(witness) == brute_force_clique_number(g)
+
+
+@st.composite
+def clique_graphs(draw) -> Graph:
+    """Up to 40 vertices: random density, complete, edgeless, or complete minus a few edges."""
+    n = draw(st.integers(1, 40))
+    pairs = list(combinations(range(n), 2))
+    kind = draw(st.sampled_from(["random", "complete", "edgeless", "near-complete"]))
+    if kind == "complete":
+        return Graph(n, pairs)
+    if kind == "edgeless":
+        return Graph(n, [])
+    rnd = draw(st.randoms(use_true_random=False))
+    if kind == "near-complete":
+        missing = set(rnd.sample(pairs, min(len(pairs), draw(st.integers(1, 5)))))
+        return Graph(n, [e for e in pairs if e not in missing])
+    p = draw(st.floats(0.0, 1.0))
+    return Graph(n, [e for e in pairs if rnd.random() < p])
+
+
+@settings(max_examples=300, deadline=None)
+@given(clique_graphs())
+def test_max_clique_matches_reference_search(g):
+    assert max_clique(g) == reference_max_clique(g)
