@@ -1,14 +1,8 @@
 """Simple-graph core: BFS distances, graph powers, diameter, exact max clique.
 
 Graphs are simple and undirected with vertices 0..n-1, immutable after
-construction.  A graph is the tuple of its vertices' neighbour frozensets;
-``edges`` is a frozenset built on demand from that adjacency, and
-``sorted_edges()`` is its ordered form.  Clique search is exact Bron-Kerbosch
-with pivoting, run on an explicit stack over int bitmasks (one neighbour mask
-per vertex, built per search); a complete graph skips the search,
-which serves r = 1 cells and library callers of ``max_clique``/
-``clique_number`` (``reconcile`` answers complete powers of r >= 2 without
-calling the search at all).
+construction; ``Graph`` says how they are stored and ``max_clique`` how the
+exact search runs.  ``power_cliques`` answers many powers of one graph.
 """
 
 from __future__ import annotations
@@ -137,12 +131,11 @@ def power(g: Graph, r: int) -> Graph:
         raise ValueError(f"power exponent must be >= 1, got {r}")
     if r == 1:
         return g
-    return distance_graph(all_pairs_distance(g), r)
+    return _distance_graph(all_pairs_distance(g), r)
 
 
-def distance_graph(dist: Sequence[Sequence[float]], r: int) -> Graph:
-    """The graph joining each pair of vertices at distance <= r in ``dist``,
-    a symmetric matrix such as ``all_pairs_distance`` returns."""
+def _distance_graph(dist: Sequence[Sequence[float]], r: int) -> Graph:
+    """The graph joining each pair at distance <= r in an ``all_pairs_distance`` matrix."""
     return Graph._from_adjacency(
         frozenset(v for v, d in enumerate(row) if d <= r and v != u) for u, row in enumerate(dist)
     )
@@ -195,6 +188,29 @@ def max_clique(g: Graph) -> tuple[int, ...]:
             rest ^= low
         stack.extend(reversed(branches))
     return best
+
+
+def power_cliques(g: Graph, rs: Sequence[int]) -> list[tuple[int, ...]]:
+    """One maximum clique of G^r for each exponent in ``rs``, in order.
+
+    The distance matrix is built once, only if some r >= 2 needs it.  G^r is
+    complete once r reaches the largest distance, so such a power is answered
+    as every vertex without being built or searched.
+    """
+    if min(rs, default=1) < 1:
+        raise ValueError(f"power exponent must be >= 1, got {min(rs)}")
+    if max(rs, default=1) > 1:
+        dist = all_pairs_distance(g)
+        widest = max(map(max, dist))  # INF when disconnected: no power is complete
+    witnesses = []
+    for r in rs:
+        if r == 1:
+            witnesses.append(max_clique(g))
+        elif r >= widest:
+            witnesses.append(tuple(range(g.n)))
+        else:
+            witnesses.append(max_clique(_distance_graph(dist, r)))
+    return witnesses
 
 
 def clique_number(g: Graph) -> int:

@@ -1,7 +1,7 @@
 """Closed-form nourishing numbers and their reconciliation with the clique oracle.
 
 The nourishing number of a graph equals the order of a maximum clique, so the
-oracle is exact clique search (``graphcore.max_clique``) on the powered graph;
+oracle is exact clique search on the powered graph (``graphcore.power_cliques``);
 the brute force that checks it lives in ``tests/conftest.py``.  The formula
 side is each family's published value from ``families.FAMILIES``, transcribed
 verbatim; the reconciliation engine's whole point is surfacing formula/oracle
@@ -19,7 +19,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from nourishing.families import FAMILIES, FAMILY_PARAMS, FamilyParameterError, FamilySpec, generate
-from nourishing.graphcore import all_pairs_distance, diameter, distance_graph, max_clique
+from nourishing.graphcore import diameter, power_cliques
 
 
 @dataclass(frozen=True)
@@ -69,26 +69,14 @@ def reconcile(cells: Iterable[tuple[FamilySpec, int]]) -> list[NourishingRecord]
     """One record per cell, in input order: the formula and one maximum clique of G^r.
 
     Each run of consecutive cells with one spec computes its formulas first,
-    so an exponent below 1 is rejected before any graph is built, then shares
-    one graph.  r = 1 searches the graph itself; the distance matrix is built
-    only once an r >= 2 needs it.  G^r for r >= the largest distance is
-    complete, so its witness is every vertex; other cells threshold the matrix
-    exactly as ``power`` does and run the same clique search.
+    so an exponent below 1 is rejected before any graph is built.
     """
     records = []
     for spec, run in groupby(cells, key=itemgetter(0)):
-        formulas = [(r, formula_kappa(spec, r)) for _, r in run]
-        g = generate(spec)
-        dist = None
-        for r, formula in formulas:
-            if r == 1:
-                witness = max_clique(g)
-            else:
-                if dist is None:
-                    dist = all_pairs_distance(g)
-                    widest = max(map(max, dist))  # INF when disconnected: no power is complete
-                witness = tuple(range(g.n)) if r >= widest else max_clique(distance_graph(dist, r))
-            records.append(NourishingRecord(spec, r, formula, witness))
+        rs = [r for _, r in run]
+        formulas = [formula_kappa(spec, r) for r in rs]
+        witnesses = power_cliques(generate(spec), rs)
+        records.extend(NourishingRecord(spec, r, f, w) for r, f, w in zip(rs, formulas, witnesses))
     return records
 
 

@@ -30,10 +30,6 @@ class IntSet(tuple):
             raise ValueError(f"IntSet elements must be non-negative, got {elems[0]}")
         return super().__new__(cls, elems)
 
-    @property
-    def elements(self) -> tuple[int, ...]:
-        return tuple(self)
-
     def __repr__(self) -> str:
         return f"IntSet({{{', '.join(map(str, self))}}})"
 

@@ -25,6 +25,7 @@ from nourishing.graphcore import (
     is_complete,
     max_clique,
     power,
+    power_cliques,
 )
 from nourishing.nourish import default_grid
 
@@ -306,3 +307,33 @@ def clique_graphs(draw) -> Graph:
 @given(clique_graphs())
 def test_max_clique_matches_reference_search(g):
     assert max_clique(g) == reference_max_clique(g)
+
+
+@st.composite
+def power_runs(draw) -> tuple[Graph, list[int]]:
+    """A graph of up to 16 vertices, often disconnected, and exponents drawn
+    unsorted and with repeats, up to n + 1, past any finite distance."""
+    n = draw(st.integers(1, 16))
+    rnd = draw(st.randoms(use_true_random=False))
+    p = draw(st.floats(0.0, 0.6))
+    g = Graph(n, [e for e in combinations(range(n), 2) if rnd.random() < p])
+    return g, draw(st.lists(st.integers(1, n + 1), max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(power_runs(), st.integers(-3, 0), st.randoms(use_true_random=False))
+def test_power_cliques_answers_each_power(drawn, bad, rnd):
+    g, rs = drawn
+    witnesses = power_cliques(g, rs)
+    assert witnesses == [max_clique(power(g, r)) for r in rs]
+    if g.n <= 10:
+        for r, witness in zip(rs, witnesses):
+            assert len(witness) == brute_force_clique_number(Graph(g.n, bfs_power_edges(g.n, g.edges, r)))
+    worse = rs[:]
+    worse.insert(rnd.randint(0, len(rs)), bad)
+    with pytest.raises(ValueError, match=rf"^power exponent must be >= 1, got {min(worse)}$"):
+        power_cliques(g, worse)
+
+
+def test_power_cliques_of_no_exponent_is_empty():
+    assert power_cliques(cycle_graph(5), []) == []

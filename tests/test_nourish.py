@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from itertools import combinations, groupby
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bfs_power_edges, brute_force_clique_number, smallest_specs
-from nourishing import nourish
+from nourishing import graphcore, nourish
 from nourishing.families import FAMILY_NAMES, FamilySpec, generate
 from nourishing.graphcore import Graph, diameter, power
 from nourishing.nourish import (
@@ -212,11 +213,33 @@ def test_default_grid_against_bfs_power_and_brute_force():
 
 def test_runs_of_r1_build_no_distance_matrix(monkeypatch):
     calls = []
-    real = nourish.all_pairs_distance
-    monkeypatch.setattr(nourish, "all_pairs_distance", lambda g: calls.append(g) or real(g))
+    real = graphcore.all_pairs_distance
+    monkeypatch.setattr(graphcore, "all_pairs_distance", lambda g: calls.append(g) or real(g))
     cells = [(spec_of("helm", n=5), 1), (spec_of("cycle", n=6), 1), (spec_of("cycle", n=6), 1)]
     assert [rec.oracle for rec in reconcile(cells)] == [3, 2, 2]
     assert calls == []
+
+
+def test_default_grid_work_is_pinned(monkeypatch):
+    """One graph per spec, one distance matrix per spec with an r >= 2, no
+    graph or search for a complete power, one search for every other cell."""
+    cells = default_grid()
+    calls = Counter()
+    for module, name in [
+        (nourish, "generate"),
+        (graphcore, "all_pairs_distance"),
+        (graphcore, "max_clique"),
+        (graphcore, "_distance_graph"),
+    ]:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, functools.partial(_counted, calls, name, real))
+    reconcile(cells)
+    assert calls == {"generate": 386, "all_pairs_distance": 385, "max_clique": 497, "_distance_graph": 111}
+
+
+def _counted(calls: Counter, name: str, real, *args):
+    calls[name] += 1
+    return real(*args)
 
 
 @pytest.mark.parametrize("rs", [[0], [1, 2, 0], [-2]])

@@ -24,7 +24,7 @@ int_sets = st.builds(IntSet, st.sets(st.integers(0, 30), min_size=1, max_size=5)
 
 class TestIntSet:
     def test_canonical_order_and_dedup(self):
-        assert IntSet([3, 1, 1, 2]).elements == (1, 2, 3)
+        assert IntSet([3, 1, 1, 2]) == (1, 2, 3)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -36,8 +36,8 @@ class TestIntSet:
 
     def test_immutable_and_hashable(self):
         a = IntSet([1, 2])
-        with pytest.raises(AttributeError):
-            a.elements = (5,)
+        with pytest.raises(TypeError):
+            a[0] = 5
         assert a == IntSet([2, 1])
         assert len({a, IntSet([1, 2])}) == 1
 
@@ -50,10 +50,10 @@ class TestIntSet:
 
     def test_elements_read_only_sorted_tuple(self):
         a = IntSet([5, 1, 3])
-        assert a.elements == (1, 3, 5)
-        assert type(a.elements) is tuple
-        with pytest.raises(AttributeError):
-            a.elements = (1,)
+        assert a == (1, 3, 5)
+        assert isinstance(a, tuple)
+        with pytest.raises(TypeError):
+            a[0] = 1
         with pytest.raises(AttributeError):
             a.other = 1
 
