@@ -17,7 +17,10 @@ The constructor works in three deterministic steps:
    and a difference between terms is blocked, and the next term is the lowest
    free integer.  Blocking c + d for each new term c and each difference d
    also blocks every old term plus a new difference, since
-   t + (c - t') = c + (t - t').
+   t + (c - t') = c + (t - t').  The differences a new term c adds come from
+   one shift: a second mask ``rev`` keeps bit last - t for every term t, and
+   c - t = (last - t) + (c - last), so ``rev << (c - last)`` is exactly the
+   set of new differences.
 
 Distinct translates keep vertices injective; Sidon offsets place every edge
 sumset in its own disjoint window, so edge labels are injective; translation
@@ -85,7 +88,7 @@ class Labeling:
 def _label_from_json(v: int, data: object) -> IntSet:
     try:
         return IntSet.from_json(data)
-    except ValueError as exc:  # an empty label or a negative element
+    except ValueError as exc:  # an empty label, a negative or a repeated element
         raise ValueError(f"label of vertex {v}: {exc}") from None
 
 
@@ -144,21 +147,28 @@ def sidon_sequence(count: int) -> list[int]:
     ``diffs`` after each new term c blocks c + d for every difference d, and
     that covers every old term t plus a new difference c - t' as well, since
     t + (c - t') = c + (t - t').
+
+    Bit j of ``rev`` is set when j = last - t for a term t (bit 0 is the last
+    term itself).  A new term c = last + step differs from each term t by
+    (last - t) + step, so ``rev << step`` holds bit c - t for every earlier
+    term and nothing else: one shift gives all of c's new differences.
+    After c is appended, those same bits are c - t for the older terms, and
+    bit 0 is c - c, so ``rev`` becomes ``new | 1``.
     """
     terms: list[int] = []
     diffs = 0  # bit d set for every difference d between two terms
     ahead = 0
+    rev = 0  # bit last - t set for every term t
     last = 0
     while len(terms) < count:
         free = ~(ahead >> 1)
         step = (free & -free).bit_length()
         c = last + step
         ahead >>= step
-        new = 0
-        for t in terms:
-            new |= 1 << (c - t)
+        new = rev << step
         diffs |= new
         ahead |= diffs
+        rev = new | 1
         terms.append(c)
         last = c
     return terms

@@ -42,11 +42,19 @@ class IntSet(tuple):
 
     @classmethod
     def from_json(cls, data: Iterable[int]) -> "IntSet":
-        """Parse a list of integers; TypeError if any element is not an int (bools included)."""
+        """Parse a list of distinct integers.
+
+        TypeError if any element is not an int (bools included); ValueError
+        naming the first element that repeats an earlier one.
+        """
         elems = list(data)
         if not all(type(x) is int for x in elems):
             raise TypeError("IntSet JSON elements must be integers")
-        return cls(elems)
+        result = cls(elems)
+        if len(result) < len(elems):
+            repeat = next(x for i, x in enumerate(elems) if x in elems[:i])
+            raise ValueError(f"repeated element {repeat}")
+        return result
 
 
 def sumset(a: IntSet, b: IntSet) -> IntSet:

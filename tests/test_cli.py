@@ -263,7 +263,9 @@ class TestVerifyMalformedInput:
             ('{"s": 1, "labels": 3}', '"labels"'),
             ('{"s": 1, "labels": [[0], ["a"]]}', '"labels"'),
             ('{"s": 1, "labels": [[0], [1, 2]]}', "vertex 1 has 2 elements"),
-            ('{"s": 2, "labels": [[0, 1], [2, 2]]}', "vertex 1 has 1 elements"),
+            ('{"s": 2, "labels": [[0, 1], [2, 2]]}', "label of vertex 1: repeated element 2"),
+            ('{"s": 2, "labels": [[1, 1], [2, 3]]}', "label of vertex 0: repeated element 1"),
+            ('{"s": 1, "labels": [[0, 0], [1]]}', "label of vertex 0: repeated element 0"),
             ('{"s": 2, "labels": [[0.5, 1], [3, 7.25]]}', '"labels"'),
             ('{"s": 2, "labels": [[true, 3], [4, 9]]}', '"labels"'),
             ('{"s": 0, "labels": [[0, 1], [2, 3]]}', "label size must be >= 1, got 0"),

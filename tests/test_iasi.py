@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import time
 from itertools import combinations
 
 import pytest
@@ -54,6 +55,17 @@ class TestSidonSequence:
 
     def test_pinned_term(self):
         assert sidon_sequence(200)[-1] == 172922
+
+    def test_pinned_terms_past_reference(self):
+        terms = sidon_sequence(500)
+        assert (terms[299], terms[499]) == (514644, 2085045)
+
+    def test_500_terms_fast(self):
+        """One shift per term keeps 500 terms near 0.1 s."""
+        start = time.perf_counter()
+        sidon_sequence(500)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.5, elapsed
 
     def test_differences_distinct_at_300(self):
         terms = sidon_sequence(300)
