@@ -14,9 +14,8 @@ their number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from nourishing.graphcore import Graph
 
@@ -25,8 +24,13 @@ class FamilyParameterError(ValueError):
     """A family parameter violates its bound; the message names the bound."""
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class _FamilySpecFields(NamedTuple):
+    family: str
+    params: tuple[tuple[str, int], ...]
+    adj: tuple[tuple[int, ...], ...] = ()
+
+
+class FamilySpec(_FamilySpecFields):
     """A named graph family plus its parameters, validated on construction.
 
     Every parameter must be an ``int`` (not a bool) that reaches its minimum
@@ -36,13 +40,30 @@ class FamilySpec:
     dropped).  A spec that
     exists is therefore one ``generate`` can build; a violation raises
     FamilyParameterError naming the bound.
+
+    A spec is the tuple ``(family, params, adj)``.  The check runs in
+    ``__new__``, so every way to build one runs it: the constructor,
+    ``make``, ``_make`` (which ``_replace`` calls), copy and pickle.
     """
 
-    family: str
-    params: tuple[tuple[str, int], ...]
-    adj: tuple[tuple[int, ...], ...] = field(default=())
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(
+        cls,
+        family: str,
+        params: tuple[tuple[str, int], ...],
+        adj: tuple[tuple[int, ...], ...] = (),
+    ) -> "FamilySpec":
+        self = super().__new__(cls, family, params, adj)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "FamilySpec":
+        """A spec from an iterable of its fields, checked (``_replace`` builds through this)."""
+        return cls(*iterable)
+
+    def _check(self) -> None:
         bounds = FAMILY_PARAMS.get(self.family)
         if bounds is None:
             raise FamilyParameterError(
@@ -64,7 +85,7 @@ class FamilySpec:
             return
         if not self.adj:
             raise FamilyParameterError("split requires at least one independent vertex")
-        c = self["c"]
+        c = self.param("c")
         for j, nbrs in enumerate(self.adj):
             if not nbrs:
                 raise FamilyParameterError(f"split independent vertex {j} has an empty neighbor list")
@@ -93,11 +114,9 @@ class FamilySpec:
             raise FamilyParameterError(message) from None
         return cls(family, tuple((k, params[k]) for k in order if k in params), lists)
 
-    def __getitem__(self, key: str) -> int:
-        for k, v in self.params:
-            if k == key:
-                return v
-        raise KeyError(key)
+    def param(self, name: str) -> int:
+        """The value of parameter ``name``; KeyError if the family takes no such parameter."""
+        return dict(self.params)[name]
 
     def arguments(self) -> dict:
         """The parameters by name, plus ``adj`` for split: what the family's

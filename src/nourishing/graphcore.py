@@ -2,7 +2,9 @@
 
 Graphs are simple and undirected with vertices 0..n-1, immutable after
 construction; ``Graph`` says how they are stored and ``max_clique`` how the
-exact search runs.  ``power_cliques`` answers many powers of one graph.
+exact search runs: Bron-Kerbosch with pivoting on int bitmasks, pruned by a
+greedy colouring of the candidates.  ``power_cliques`` answers many powers of
+one graph.
 """
 
 from __future__ import annotations
@@ -154,6 +156,16 @@ def max_clique(g: Graph) -> tuple[int, ...]:
     neighbours, ties going to the lowest vertex, and branches run lowest vertex
     first; the witness is the first largest clique found.  Complete graphs skip
     the search.
+
+    Once a clique has been found, a frame is dropped when its candidates
+    cannot extend it past the best one (the bound of Tomita and Seki's MCQ).
+    The candidates are coloured greedily: the lowest uncoloured candidate opens
+    a class, which takes every later uncoloured candidate adjacent to none of
+    the class.  A clique holds at most one vertex of each class, so a frame
+    whose clique plus its colour count cannot exceed the best is pruned.  The
+    colouring stops as soon as it has more classes than that.  Only frames
+    that cannot yield a strictly larger clique are pruned, so the witness is
+    the one the unbounded search returns.
     """
     if is_complete(g):
         return tuple(range(g.n))
@@ -166,7 +178,19 @@ def max_clique(g: Graph) -> tuple[int, ...]:
             if len(clique) > len(best):
                 best = tuple(sorted(clique))
             continue
-        if len(clique) + candidates.bit_count() <= len(best):
+        spare = len(best) - len(clique)
+        if candidates.bit_count() <= spare:
+            continue
+        # a clique takes at most one candidate from each greedy colour class
+        uncoloured, colours = candidates, 0
+        while uncoloured and colours <= spare:
+            colours += 1
+            pool = uncoloured
+            while pool:
+                low = pool & -pool
+                uncoloured ^= low
+                pool &= ~(adj[low.bit_length() - 1] | low)
+        if colours <= spare:
             continue
         pivot, most = -1, -1
         pool = candidates | excluded

@@ -15,7 +15,8 @@ The constructor works in three deterministic steps:
    M exceeds twice the largest base element.  The greedy terms come from one
    bitmask of blocked integers above the last term: every sum t + d of a term
    and a difference between terms is blocked, and the next term is the lowest
-   free integer.  Blocking c + d for each new term c and each difference d
+   free integer, sought in a low window of the mask that doubles until it
+   holds a free bit.  Blocking c + d for each new term c and each difference d
    also blocks every old term plus a new difference, since
    t + (c - t') = c + (t - t').  The differences a new term c adds come from
    one shift: a second mask ``rev`` keeps bit last - t for every term t, and
@@ -30,44 +31,51 @@ keep disjoint difference sets.  No retry loop is ever needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from nourishing.graphcore import Graph
 from nourishing.setalg import IntSet, make_difference_chain
 
 
-@dataclass(frozen=True)
-class Labeling:
-    """A total vertex -> IntSet map, indexed by vertex.
+class _LabelingFields(NamedTuple):
+    labels: tuple[IntSet, ...]
+    label_size: int
+    chain_length: int = 0
+
+
+class Labeling(_LabelingFields):
+    """A total vertex -> IntSet map: ``labels[v]`` is vertex v's label.
 
     ``label_size`` is the common cardinality used by the constructor.
     ``chain_length`` is the number of base sets (color classes) the
     constructor used, i.e. the length of its difference chain; 0 for
     labelings not produced by the constructor.
+
+    A labeling is the tuple ``(labels, label_size, chain_length)``.  The
+    check that every label has ``label_size`` elements runs in ``__new__``, so
+    every way to build one runs it: the constructor, ``from_json``, ``_make``
+    (which ``_replace`` calls), copy and pickle.
     """
 
-    labels: tuple[IntSet, ...]
-    label_size: int
-    chain_length: int = field(default=0)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.label_size < 1:
-            raise ValueError(f"label size must be >= 1, got {self.label_size}")
-        for v, a in enumerate(self.labels):
-            if len(a) != self.label_size:
-                raise ValueError(f'label of vertex {v} has {len(a)} elements, "s" is {self.label_size}')
+    def __new__(cls, labels: tuple[IntSet, ...], label_size: int, chain_length: int = 0) -> "Labeling":
+        if label_size < 1:
+            raise ValueError(f"label size must be >= 1, got {label_size}")
+        for v, a in enumerate(labels):
+            if len(a) != label_size:
+                raise ValueError(f'label of vertex {v} has {len(a)} elements, "s" is {label_size}')
+        return super().__new__(cls, labels, label_size, chain_length)
 
-    def __getitem__(self, v: int) -> IntSet:
-        return self.labels[v]
-
-    def __len__(self) -> int:
-        return len(self.labels)
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Labeling":
+        """A labeling from an iterable of its fields, checked (``_replace`` builds through this)."""
+        return cls(*iterable)
 
     def check_covers(self, n: int) -> None:
         """Raise ValueError unless there is one label per vertex of an n-vertex graph."""
-        if len(self) != n:
-            raise ValueError(f"labeling covers {len(self)} vertices, graph has {n}")
+        if len(self.labels) != n:
+            raise ValueError(f"labeling covers {len(self.labels)} vertices, graph has {n}")
 
     def to_json(self) -> dict:
         return {"s": self.label_size, "labels": [a.to_json() for a in self.labels]}
@@ -92,8 +100,7 @@ def _label_from_json(v: int, data: object) -> IntSet:
         raise ValueError(f"label of vertex {v}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of checking a labeling, with every violation enumerated.
 
     Failure kinds: ``vertex-collision`` (two vertices share a label),
@@ -101,6 +108,7 @@ class VerificationReport:
     ``non-multiplicative-edge`` (an edge sumset smaller than |f(u)|*|f(v)|).
     Witnesses name the offending vertices or edges, deterministically ordered.
     Both verdicts are read off the failures, so they cannot contradict them.
+    A report is the one-item tuple ``(failures,)``.
     """
 
     failures: tuple[tuple[str, tuple], ...]
@@ -154,6 +162,14 @@ def sidon_sequence(count: int) -> list[int]:
     term and nothing else: one shift gives all of c's new differences.
     After c is appended, those same bits are c - t for the older terms, and
     bit 0 is c - c, so ``rev`` becomes ``new | 1``.
+
+    The lowest clear bit of ``ahead`` above bit 0 is sought in a window of
+    bits 1..w-1, w doubling from 64 until the window holds a clear bit, so a
+    search reads a few times the step's bits rather than the whole mask.  The
+    window always contains the step: it starts at bit 1 and has no gap, so
+    its lowest clear bit is the lowest clear bit above bit 0 of the whole
+    mask, and it holds one at the latest once it passes the top bit of
+    ``ahead``, above which every bit is clear.
     """
     terms: list[int] = []
     diffs = 0  # bit d set for every difference d between two terms
@@ -161,8 +177,10 @@ def sidon_sequence(count: int) -> list[int]:
     rev = 0  # bit last - t set for every term t
     last = 0
     while len(terms) < count:
-        free = ~(ahead >> 1)
-        step = (free & -free).bit_length()
+        window = (1 << 64) - 2  # bits 1..63
+        while not (free := (ahead & window) ^ window):
+            window = (1 << 2 * window.bit_length()) - 2
+        step = (free & -free).bit_length() - 1
         c = last + step
         ahead >>= step
         new = rev << step

@@ -13,21 +13,20 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from itertools import groupby, product
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from nourishing.families import FAMILIES, FAMILY_PARAMS, FamilyParameterError, FamilySpec, generate
 from nourishing.graphcore import diameter, power_cliques
 
 
-@dataclass(frozen=True)
-class NourishingRecord:
+class NourishingRecord(NamedTuple):
     """One reconciliation cell: formula value vs exact clique value.
 
     ``oracle`` and ``status`` are read off ``witness`` and ``formula``, so a
-    record cannot contradict itself.
+    record cannot contradict itself.  A record is the tuple ``(spec, r,
+    formula, witness)``.
     """
 
     spec: FamilySpec

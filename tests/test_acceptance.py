@@ -138,7 +138,7 @@ def restrict(g: Graph, labeling: Labeling, verts: list[int]) -> tuple[Graph, Lab
     """The subgraph induced by ``verts`` and its labels, both renumbered in ``verts`` order."""
     index = {v: i for i, v in enumerate(verts)}
     sub = Graph(len(verts), [(index[u], index[v]) for u, v in g.edges if u in index and v in index])
-    return sub, Labeling(tuple(labeling[v] for v in verts), labeling.label_size)
+    return sub, Labeling(tuple(labeling.labels[v] for v in verts), labeling.label_size)
 
 
 def test_criterion_6_hereditariness():

@@ -221,7 +221,7 @@ class TestGlobalInvariants:
 class TestGrid:
     def test_cartesian_order(self):
         cells = family_cells("cycle", {"n": range(3, 6)}, range(1, 3))
-        assert [(s["n"], r) for s, r in cells] == [
+        assert [(s.param("n"), r) for s, r in cells] == [
             (3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 2),
         ]
 
@@ -230,11 +230,11 @@ class TestGrid:
 
     def test_two_axis_lexicographic(self):
         cells = family_cells("kmn", {"m": range(1, 3), "n": range(1, 3)}, [1])
-        assert [(s["m"], s["n"]) for s, _ in cells] == [(1, 1), (1, 2), (2, 1), (2, 2)]
+        assert [(s.param("m"), s.param("n")) for s, _ in cells] == [(1, 1), (1, 2), (2, 1), (2, 2)]
 
     def test_split_specs_carry_adj(self):
         specs = [spec for spec, _ in family_cells("split", {"c": range(1, 4)}, [1], [[0], [0]])]
-        assert [spec["c"] for spec in specs] == [1, 2, 3]
+        assert [spec.param("c") for spec in specs] == [1, 2, 3]
         assert all(spec.adj == ((0,), (0,)) for spec in specs)
 
     @pytest.mark.parametrize(

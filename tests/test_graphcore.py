@@ -257,6 +257,33 @@ class TestClique:
         assert all(v in g[u] for u, v in combinations(witness, 2))
         assert elapsed < 5.0, elapsed
 
+    def test_worst_exponents_search_fast(self):
+        """Each family's power just below completeness, for every n up to 60.
+
+        The clique numbers follow from pairings: in C_n^(n/2-1) (n even) the
+        n/2 antipodal pairs are non-adjacent and n/2 consecutive vertices are
+        a clique; in the sun's power r = n//2 (n odd) each independent vertex
+        n+j is at distance r+1 from hub vertex j+(n+1)/2 and the hub is a
+        clique; in the sunlet's power r = n/2 (n even) pendant n+i is at
+        distance r+1 from cycle vertex i+n/2 and the cycle is a clique.  So
+        omega is n/2, n and n.  The searches take about 0.1 s in all; the
+        budget is 1 s.
+        """
+        cells = [("cycle", n, n // 2 - 1, n // 2) for n in range(4, 61, 2)]
+        cells += [("sun", n, n // 2, n) for n in range(3, 60, 2)]
+        cells += [("sunlet", n, n // 2, n) for n in range(4, 61, 2)]
+        elapsed = 0.0
+        for family, n, r, omega in cells:
+            g = generate(FamilySpec.make(family, n=n))
+            g_r = power(g, r)
+            start = time.perf_counter()
+            witness = max_clique(g_r)
+            elapsed += time.perf_counter() - start
+            edges = bfs_power_edges(g.n, g.edges, r)
+            assert len(witness) == omega, (family, n, r)
+            assert all(e in edges for e in combinations(witness, 2)), (family, n, r)
+        assert elapsed < 1.0, elapsed
+
     @pytest.mark.parametrize(
         "family,n,r,witness",
         [
