@@ -11,17 +11,9 @@ The constructor works in three deterministic steps:
 1. greedily properly color the graph in descending-degree order (k classes);
 2. build k base sets of size s with pairwise disjoint difference sets;
 3. give vertex v the base set of its class translated by M*a_v, where a_v is
-   the v-th term of the greedy Sidon (Mian-Chowla) sequence starting at 1 and
-   M exceeds twice the largest base element.  The greedy terms come from one
-   bitmask of blocked integers above the last term: every sum t + d of a term
-   and a difference between terms is blocked, and the next term is the lowest
-   free integer, sought in a low window of the mask that doubles until it
-   holds a free bit.  Blocking c + d for each new term c and each difference d
-   also blocks every old term plus a new difference, since
-   t + (c - t') = c + (t - t').  The differences a new term c adds come from
-   one shift: a second mask ``rev`` keeps bit last - t for every term t, and
-   c - t = (last - t) + (c - last), so ``rev << (c - last)`` is exactly the
-   set of new differences.
+   the v-th term of the Erdos-Turan Sidon set a_k = 2pk + (k^2 mod p) for the
+   least odd prime p >= n (see ``sidon_sequence``), and M exceeds twice the
+   largest base element.  Each a_v is below 2p*n, so labels grow as O(n^2).
 
 Distinct translates keep vertices injective; Sidon offsets place every edge
 sumset in its own disjoint window, so edge labels are injective; translation
@@ -34,7 +26,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from nourishing.graphcore import Graph
-from nourishing.setalg import IntSet, make_difference_chain
+from nourishing.setalg import IntSet, _primes_above, make_difference_chain
 
 
 class _LabelingFields(NamedTuple):
@@ -142,54 +134,24 @@ def greedy_coloring(g: Graph) -> list[int]:
 
 
 def sidon_sequence(count: int) -> list[int]:
-    """First ``count`` terms of the greedy Sidon sequence 1, 2, 4, 8, 13, 21, ...
+    """First ``count`` terms of the Erdos-Turan Sidon set a_k = 2pk + (k^2 mod p).
 
-    Each new term is the smallest integer keeping all pairwise sums of the
-    sequence distinct (equivalently, all pairwise differences distinct).
+    p is the least prime >= max(count, 3), so p is odd and every index is
+    below p.  The terms start at 0, strictly increase (consecutive terms
+    differ by more than 2p - p) and stay below 2p * count.  All pairwise
+    sums a_i + a_j (i <= j) are distinct:
 
-    Bit i of ``ahead`` is set when last + i = t + d for a term t and a
-    difference d between two terms: last + i - t would repeat d, so last + i
-    cannot be a later term.  The next term is last + the lowest clear bit
-    above bit 0.  No later term lies at or below the last one, so the mask is
-    shifted down by each step and holds only what lies ahead.  ORing in
-    ``diffs`` after each new term c blocks c + d for every difference d, and
-    that covers every old term t plus a new difference c - t' as well, since
-    t + (c - t') = c + (t - t').
-
-    Bit j of ``rev`` is set when j = last - t for a term t (bit 0 is the last
-    term itself).  A new term c = last + step differs from each term t by
-    (last - t) + step, so ``rev << step`` holds bit c - t for every earlier
-    term and nothing else: one shift gives all of c's new differences.
-    After c is appended, those same bits are c - t for the older terms, and
-    bit 0 is c - c, so ``rev`` becomes ``new | 1``.
-
-    The lowest clear bit of ``ahead`` above bit 0 is sought in a window of
-    bits 1..w-1, w doubling from 64 until the window holds a clear bit, so a
-    search reads a few times the step's bits rather than the whole mask.  The
-    window always contains the step: it starts at bit 1 and has no gap, so
-    its lowest clear bit is the lowest clear bit above bit 0 of the whole
-    mask, and it holds one at the latest once it passes the top bit of
-    ``ahead``, above which every bit is clear.
+    take two pairs with a_i + a_j = a_k + a_l.  Each residue is below p, so
+    the quotient by 2p gives i + j = k + l.  The residues then give
+    i^2 + j^2 = k^2 + l^2 mod p, so (i - j)^2 = 2(i^2 + j^2) - (i + j)^2 and
+    (k - l)^2 agree mod p, and p being prime, i - j = +-(k - l) mod p.  p is
+    odd and every index is below p, so {i, j} = {k, l}: i - j and +-(k - l)
+    lie in (-p, p) and share the parity of i + j, so they differ by an even
+    multiple of p smaller than 2p, which is 0.
+    (Erdos & Turan 1941, J. London Math. Soc. 16.)
     """
-    terms: list[int] = []
-    diffs = 0  # bit d set for every difference d between two terms
-    ahead = 0
-    rev = 0  # bit last - t set for every term t
-    last = 0
-    while len(terms) < count:
-        window = (1 << 64) - 2  # bits 1..63
-        while not (free := (ahead & window) ^ window):
-            window = (1 << 2 * window.bit_length()) - 2
-        step = (free & -free).bit_length() - 1
-        c = last + step
-        ahead >>= step
-        new = rev << step
-        diffs |= new
-        ahead |= diffs
-        rev = new | 1
-        terms.append(c)
-        last = c
-    return terms
+    p = next(_primes_above(max(count, 3) - 1))
+    return [2 * p * k + k * k % p for k in range(count)]
 
 
 def construct_strong_iasi(g: Graph, s: int = 2) -> Labeling:

