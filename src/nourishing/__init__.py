@@ -26,7 +26,7 @@ from nourishing.iasi import (
 )
 from nourishing.nourish import (
     NourishingRecord,
-    family_cells,
+    family_runs,
     formula_kappa,
     reconcile,
 )
@@ -46,7 +46,7 @@ __all__ = [
     "clique_number",
     "FamilySpec",
     "generate",
-    "family_cells",
+    "family_runs",
     "Labeling",
     "VerificationReport",
     "construct_strong_iasi",

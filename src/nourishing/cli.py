@@ -27,7 +27,7 @@ from nourishing.nourish import (
     acceptance_grid,
     audit_grid,
     default_grid,
-    family_cells,
+    family_runs,
     formula_kappa,
     reconcile,
     records_to_csv,
@@ -120,7 +120,7 @@ def cmd_power(args: argparse.Namespace) -> int:
 
 
 def cmd_omega(args: argparse.Namespace) -> int:
-    (record,) = reconcile([(_spec_from_args(args), args.r)])
+    (record,) = reconcile([(_spec_from_args(args), (args.r,))])
     if args.format == "json":
         print(json.dumps({"omega": record.oracle, "witness": list(record.witness)}))
     else:
@@ -135,7 +135,7 @@ def cmd_kappa(args: argparse.Namespace) -> int:
     if args.mode == "formula":
         out["formula"] = formula_kappa(spec, args.r)
     else:
-        record = reconcile([(spec, args.r)])[0].to_json()
+        record = reconcile([(spec, (args.r,))])[0].to_json()
         keys = ("oracle", "witness")
         if args.mode == "both":
             keys = ("formula", "oracle", "witness", "status")
@@ -150,6 +150,8 @@ def cmd_kappa(args: argparse.Namespace) -> int:
 
 
 def cmd_label(args: argparse.Namespace) -> int:
+    if args.s_label < 1:
+        raise ValueError(f"--s-label must be >= 1, got {args.s_label}")
     g = power(generate(_spec_from_args(args)), args.r)
     labeling = construct_strong_iasi(g, args.s_label)
     text = json.dumps(labeling.to_json())
@@ -178,7 +180,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.is_strong else CHECK_FAILED
 
 
-def _reconcile_cells(args: argparse.Namespace) -> list:
+def _reconcile_runs(args: argparse.Namespace) -> list:
     if args.grid is not None:
         flags = ("family", *PARAM_FLAGS, "adj", "r")
         given = [_flag(name) for name in flags if getattr(args, name) is not None]
@@ -190,7 +192,7 @@ def _reconcile_cells(args: argparse.Namespace) -> list:
         raise FamilyParameterError("reconcile needs --grid or --family with ranges")
     ranges = {name: _parse_range(value, name) for name, value in _family_params(args).items()}
     r_range = _parse_range(args.r, "r") if args.r is not None else None
-    return family_cells(args.family, ranges, r_range, _parse_adj(args.adj))
+    return family_runs(args.family, ranges, r_range, _parse_adj(args.adj))
 
 
 def cmd_reconcile(args: argparse.Namespace) -> int:
@@ -199,7 +201,7 @@ def cmd_reconcile(args: argparse.Namespace) -> int:
             raise FamilyParameterError("--expect-golden requires --format csv")
         with open(args.expect_golden) as file:
             golden = file.read()
-    records = reconcile(_reconcile_cells(args))
+    records = reconcile(_reconcile_runs(args))
     if args.format == "json":
         output = records_to_json(records)
     elif args.format == "csv":

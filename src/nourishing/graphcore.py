@@ -35,6 +35,8 @@ class Graph(tuple):
             raise ValueError(f"vertex count must be >= 1, got {n}")
         adj: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
+            if not (type(u) is int and type(v) is int):
+                raise ValueError("edge endpoints must be integers")
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
@@ -93,8 +95,6 @@ class Graph(tuple):
             edges = [(u, v) for u, v in data.get("edges")]
         except (TypeError, ValueError):
             raise ValueError('graph JSON "edges" must be a list of [u, v] pairs') from None
-        if not all(type(u) is int and type(v) is int for u, v in edges):
-            raise ValueError("graph JSON edge endpoints must be integers")
         return cls(n, edges)
 
     def to_dot(self) -> str:

@@ -13,8 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from itertools import groupby, product
-from operator import itemgetter
+from itertools import product
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from nourishing.families import FAMILIES, FAMILY_PARAMS, FamilyParameterError, FamilySpec, generate
@@ -64,15 +63,14 @@ def formula_kappa(spec: FamilySpec, r: int) -> int:
     return FAMILIES[spec.family].kappa(r, **spec.arguments())
 
 
-def reconcile(cells: Iterable[tuple[FamilySpec, int]]) -> list[NourishingRecord]:
-    """One record per cell, in input order: the formula and one maximum clique of G^r.
+def reconcile(runs: Iterable[tuple[FamilySpec, Sequence[int]]]) -> list[NourishingRecord]:
+    """One record per exponent, in run order: the formula and one maximum clique of G^r.
 
-    Each run of consecutive cells with one spec computes its formulas first,
-    so an exponent below 1 is rejected before any graph is built.
+    A run is one spec with a sequence of exponents.  Each run computes its
+    formulas first, so an exponent below 1 is rejected before any graph is built.
     """
     records = []
-    for spec, run in groupby(cells, key=itemgetter(0)):
-        rs = [r for _, r in run]
+    for spec, rs in runs:
         formulas = [formula_kappa(spec, r) for r in rs]
         witnesses = power_cliques(generate(spec), rs)
         records.extend(NourishingRecord(spec, r, f, w) for r, f, w in zip(rs, formulas, witnesses))
@@ -95,22 +93,22 @@ def records_to_json(records: Sequence[NourishingRecord]) -> str:
     return json.dumps([rec.to_json() for rec in records], indent=2) + "\n"
 
 
-def _cells_with_default_r(specs: Iterable[FamilySpec]) -> list[tuple[FamilySpec, int]]:
-    return [(spec, r) for spec in specs for r in range(1, int(diameter(generate(spec))) + 2)]
+def _runs_with_default_r(specs: Iterable[FamilySpec]) -> list[tuple[FamilySpec, Sequence[int]]]:
+    return [(spec, range(1, int(diameter(generate(spec))) + 2)) for spec in specs]
 
 
-def family_cells(
+def family_runs(
     family: str,
     ranges: Mapping[str, Sequence[int]],
     r_range: Optional[Sequence[int]] = None,
     adj: Sequence[Sequence[int]] = (),
-) -> list[tuple[FamilySpec, int]]:
-    """Cells of one family over parameter ranges, in lexicographic order.
+) -> list[tuple[FamilySpec, Sequence[int]]]:
+    """One run per spec of a family over parameter ranges, in lexicographic order.
 
     ``ranges`` maps each of the family's parameters, and no other name, to
     its values, and every spec takes ``adj`` (split's neighbor lists);
-    ``FamilySpec`` validates each spec as it is built.  The exponent runs over
-    ``r_range``, or by default from 1 to each spec's diameter+1.
+    ``FamilySpec`` validates each spec as it is built.  Each run's exponents
+    are ``r_range``, or by default 1 to the spec's diameter+1.
     """
     names = tuple(FAMILY_PARAMS.get(family, ()))  # FamilySpec names an unknown family
     for name in (*names, *ranges):
@@ -122,8 +120,8 @@ def family_cells(
         for values in product(*(ranges[name] for name in names))
     ]
     if r_range is None:
-        return _cells_with_default_r(specs)
-    return [(spec, r) for spec in specs for r in r_range]
+        return _runs_with_default_r(specs)
+    return [(spec, r_range) for spec in specs]
 
 
 def split_probe_specs() -> list[FamilySpec]:
@@ -145,25 +143,25 @@ def split_probe_specs() -> list[FamilySpec]:
     ]
 
 
-def default_grid() -> list[tuple[FamilySpec, int]]:
+def default_grid() -> list[tuple[FamilySpec, Sequence[int]]]:
     """The full default reconciliation grid.
 
     Parameters run from each family's minimum up to 10 and the exponent from
     1 to diameter+1, which covers every piecewise branch of every formula;
     split uses the fixed probe specs, after every other family.
     """
-    cells: list[tuple[FamilySpec, int]] = []
+    runs: list[tuple[FamilySpec, Sequence[int]]] = []
     for family, bounds in FAMILY_PARAMS.items():
         if family != "split":
-            cells.extend(family_cells(family, {k: range(lo, 11) for k, lo in bounds.items()}))
-    cells.extend(_cells_with_default_r(split_probe_specs()))
-    return cells
+            runs.extend(family_runs(family, {k: range(lo, 11) for k, lo in bounds.items()}))
+    runs.extend(_runs_with_default_r(split_probe_specs()))
+    return runs
 
 
-def acceptance_grid() -> list[tuple[FamilySpec, int]]:
+def acceptance_grid() -> list[tuple[FamilySpec, Sequence[int]]]:
     """The grid behind the checked-in golden table: families whose published
     formulas are believed exact, every parameter from the published tables."""
-    cells: list[tuple[FamilySpec, int]] = []
+    runs: list[tuple[FamilySpec, Sequence[int]]] = []
     for family, ranges in (
         ("path", {"m": range(1, 11)}),
         ("cycle", {"n": range(3, 13)}),
@@ -172,12 +170,11 @@ def acceptance_grid() -> list[tuple[FamilySpec, int]]:
         ("friendship", {"n": range(1, 6)}),
         ("fan", {"m": range(1, 5), "n": range(2, 7)}),
     ):
-        cells.extend(family_cells(family, ranges))
-    return cells
+        runs.extend(family_runs(family, ranges))
+    return runs
 
 
-def audit_grid() -> list[tuple[FamilySpec, int]]:
-    """Known-divergence probe cells: wheel at n=3, r=1 and helms cubed."""
-    cells: list[tuple[FamilySpec, int]] = [(FamilySpec.make("wheel", n=3), 1)]
-    cells.extend((FamilySpec.make("helm", n=n), 3) for n in range(4, 9))
-    return cells
+def audit_grid() -> list[tuple[FamilySpec, Sequence[int]]]:
+    """Known-divergence probes: wheel at n=3, r=1 and helms cubed."""
+    helms = [(FamilySpec.make("helm", n=n), (3,)) for n in range(4, 9)]
+    return [(FamilySpec.make("wheel", n=3), (1,)), *helms]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations
 
 from nourishing.families import FAMILY_PARAMS, FamilySpec
@@ -61,6 +62,25 @@ def bfs_power_edges(n: int, pairs: set[tuple[int, int]], r: int) -> set[tuple[in
             reached = reached | frontier
         out |= {(source, v) for v in reached if v > source}
     return out
+
+
+def bfs_distances(n: int, pairs: set[tuple[int, int]]) -> list[dict[int, int]]:
+    """Hop counts from each vertex to those it reaches, by BFS over ``pairs`` alone."""
+    nbrs: dict[int, set[int]] = {v: set() for v in range(n)}
+    for u, v in pairs:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    rows = []
+    for source in range(n):
+        dist = {source: 0}
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for w in nbrs[u] - dist.keys():
+                dist[w] = dist[u] + 1
+                queue.append(w)
+        rows.append(dist)
+    return rows
 
 
 def brute_force_sumset(a: IntSet, b: IntSet) -> set[int]:

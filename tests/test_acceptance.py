@@ -77,7 +77,7 @@ def test_criterion_2_constructor_soundness():
     for family in FAMILY_NAMES:
         for spec in smallest_specs(family):
             g0 = generate(spec)
-            for rec in reconcile([(spec, r) for r in range(1, int(diameter(g0)) + 2)]):
+            for rec in reconcile([(spec, range(1, int(diameter(g0)) + 2))]):
                 g = power(g0, rec.r)
                 for s in (1, 2, 3):
                     labeling = construct_strong_iasi(g, s)

@@ -7,7 +7,7 @@ import nourishing
 PUBLIC = {
     "IntSet", "sumset", "difference_set", "is_strong_pair", "make_difference_chain",
     "Graph", "all_pairs_distance", "power", "diameter", "clique_number",
-    "FamilySpec", "generate", "family_cells",
+    "FamilySpec", "generate", "family_runs",
     "Labeling", "VerificationReport", "construct_strong_iasi", "verify_strong_iasi",
     "induced_edge_labels",
     "NourishingRecord", "formula_kappa", "reconcile",

@@ -375,7 +375,7 @@ class TestReconcile:
         )
 
     def test_grid_looked_up_at_call_time(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "audit_grid", lambda: [(FamilySpec.make("cycle", n=3), 1)])
+        monkeypatch.setattr(cli, "audit_grid", lambda: [(FamilySpec.make("cycle", n=3), (1,))])
         code, out, _ = run(capsys, "reconcile", "--grid", "audit")
         assert code == 0
         assert out.splitlines()[1:] == ["cycle,n=3,1,3,3,agree,0 1 2"]
@@ -458,6 +458,14 @@ class TestUsageErrors:
         monkeypatch.setattr(nourish, "generate", lambda spec: built.append(spec) or generate(spec))
         argv = ("omega", "--family", "complete", "--n", "1000", "--r", "0")
         assert run(capsys, *argv) == (2, "", "power exponent must be >= 1, got 0\n")
+        assert built == []
+
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_nonpositive_label_size_builds_no_graph(self, capsys, monkeypatch, size):
+        built = []
+        monkeypatch.setattr(cli, "generate", lambda spec: built.append(spec) or generate(spec))
+        argv = ("label", "--family", "cycle", "--n", "2500", "--r", "2", "--s-label", size)
+        assert run(capsys, *argv) == (2, "", f"--s-label must be >= 1, got {size}\n")
         assert built == []
 
     def test_missing_parser_args(self, capsys):

@@ -16,7 +16,7 @@ from nourishing.families import (
     generate,
 )
 from nourishing.graphcore import INF, clique_number, diameter
-from nourishing.nourish import family_cells, reconcile
+from nourishing.nourish import family_runs, reconcile
 
 
 class TestCounts:
@@ -190,7 +190,7 @@ def test_spec_that_exists_is_valid(drawn):
     except FamilyParameterError:
         return
     generate(spec)
-    reconcile([(spec, r) for r in (1, 2, 3)])
+    reconcile([(spec, (1, 2, 3))])
 
 
 class TestGlobalInvariants:
@@ -220,20 +220,24 @@ class TestGlobalInvariants:
 
 class TestGrid:
     def test_cartesian_order(self):
-        cells = family_cells("cycle", {"n": range(3, 6)}, range(1, 3))
-        assert [(s.param("n"), r) for s, r in cells] == [
-            (3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 2),
+        runs = family_runs("cycle", {"n": range(3, 6)}, range(1, 3))
+        assert [(s.param("n"), list(rs)) for s, rs in runs] == [(n, [1, 2]) for n in (3, 4, 5)]
+
+    def test_default_exponents_run_to_diameter_plus_one(self):
+        runs = family_runs("cycle", {"n": range(3, 7)})
+        assert [(s.param("n"), list(rs)) for s, rs in runs] == [
+            (3, [1, 2]), (4, [1, 2, 3]), (5, [1, 2, 3]), (6, [1, 2, 3, 4]),
         ]
 
     def test_single_param_cell_count(self):
-        assert len(family_cells("helm", {"n": range(3, 4)}, range(1, 5))) == 4
+        assert [len(rs) for _, rs in family_runs("helm", {"n": range(3, 4)}, range(1, 5))] == [4]
 
     def test_two_axis_lexicographic(self):
-        cells = family_cells("kmn", {"m": range(1, 3), "n": range(1, 3)}, [1])
-        assert [(s.param("m"), s.param("n")) for s, _ in cells] == [(1, 1), (1, 2), (2, 1), (2, 2)]
+        runs = family_runs("kmn", {"m": range(1, 3), "n": range(1, 3)}, [1])
+        assert [(s.param("m"), s.param("n")) for s, _ in runs] == [(1, 1), (1, 2), (2, 1), (2, 2)]
 
     def test_split_specs_carry_adj(self):
-        specs = [spec for spec, _ in family_cells("split", {"c": range(1, 4)}, [1], [[0], [0]])]
+        specs = [spec for spec, _ in family_runs("split", {"c": range(1, 4)}, [1], [[0], [0]])]
         assert [spec.param("c") for spec in specs] == [1, 2, 3]
         assert all(spec.adj == ((0,), (0,)) for spec in specs)
 
@@ -245,7 +249,7 @@ class TestGrid:
     def test_specs_validated(self, family, adj, message):
         ranges = {name: range(lo, lo + 2) for name, lo in FAMILY_PARAMS.get(family, {}).items()}
         with pytest.raises(FamilyParameterError, match=message):
-            family_cells(family, ranges, [1], adj)
+            family_runs(family, ranges, [1], adj)
 
     @pytest.mark.parametrize(
         "family, ranges, message",
@@ -255,4 +259,4 @@ class TestGrid:
     )
     def test_ranges_must_name_exactly_the_parameters(self, family, ranges, message):
         with pytest.raises(FamilyParameterError, match=message):
-            family_cells(family, ranges, [1])
+            family_runs(family, ranges, [1])

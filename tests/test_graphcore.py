@@ -51,6 +51,11 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph(0, [])
 
+    @pytest.mark.parametrize("edge", [(0.5, 1), ("0", 1), (True, 2)])
+    def test_rejects_endpoints_that_are_not_ints(self, edge):
+        with pytest.raises(ValueError, match="^edge endpoints must be integers$"):
+            Graph(3, [(0, 1), edge])
+
     def test_parallel_edges_collapse(self):
         g = Graph(3, [(0, 1), (1, 0)])
         assert len(g.edges) == 1

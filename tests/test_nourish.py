@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import time
 from collections import Counter
 from itertools import combinations, groupby
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bfs_power_edges, brute_force_clique_number, smallest_specs
+from conftest import bfs_distances, bfs_power_edges, brute_force_clique_number, smallest_specs
 from nourishing import graphcore, nourish
 from nourishing.families import FAMILY_NAMES, FamilySpec, generate
 from nourishing.graphcore import Graph, diameter, power
@@ -18,7 +19,7 @@ from nourishing.nourish import (
     CSV_HEADER,
     NourishingRecord,
     default_grid,
-    family_cells,
+    family_runs,
     formula_kappa,
     reconcile,
     records_to_csv,
@@ -32,7 +33,7 @@ def spec_of(family: str, **params) -> FamilySpec:
 
 
 def record_of(spec: FamilySpec, r: int) -> NourishingRecord:
-    (rec,) = reconcile([(spec, r)])
+    (rec,) = reconcile([(spec, (r,))])
     return rec
 
 
@@ -128,33 +129,34 @@ class TestOracle:
         assert record_of(spec, d).oracle == g.n
 
     def test_monotone_in_r(self):
-        records = reconcile([(spec_of("sunlet", n=7), r) for r in range(1, 7)])
+        records = reconcile([(spec_of("sunlet", n=7), range(1, 7))])
         values = [rec.oracle for rec in records]
         assert values == sorted(values)
 
 
 class TestReconcile:
     def test_cycle_grid_all_agree(self):
-        records = reconcile(family_cells("cycle", {"n": range(3, 9)}, range(1, 5)))
+        records = reconcile(family_runs("cycle", {"n": range(3, 9)}, range(1, 5)))
         assert all(rec.status == "agree" for rec in records)
 
     def test_wheel3_disagrees(self):
-        (rec,) = reconcile([(spec_of("wheel", n=3), 1)])
+        (rec,) = reconcile([(spec_of("wheel", n=3), (1,))])
         assert rec.status == "disagree"
         assert (rec.formula, rec.oracle) == (3, 4)
 
     def test_path4_squared_agrees(self):
-        (rec,) = reconcile([(spec_of("path", m=4), 2)])
+        (rec,) = reconcile([(spec_of("path", m=4), (2,))])
         assert rec.status == "agree"
         assert rec.oracle == 3
 
     def test_order_preserved(self):
-        cells = family_cells("helm", {"n": range(3, 6)}, range(1, 4))
-        records = reconcile(cells)
-        assert [(rec.spec, rec.r) for rec in records] == cells
+        runs = family_runs("helm", {"n": range(3, 6)}, range(1, 4))
+        assert [spec for spec, _ in runs] == [spec_of("helm", n=n) for n in range(3, 6)]
+        cells = [(rec.spec, rec.r) for rec in reconcile(runs)]
+        assert cells == [(spec, r) for spec, _ in runs for r in (1, 2, 3)]
 
     def test_record_invariant(self):
-        for rec in reconcile([(spec_of("sun", n=4), r) for r in (1, 2, 3)]):
+        for rec in reconcile([(spec_of("sun", n=4), (1, 2, 3))]):
             assert rec.oracle == len(rec.witness)
             assert (rec.status == "agree") == (rec.formula == rec.oracle)
 
@@ -163,14 +165,13 @@ SMALL_SPECS = [spec for f in FAMILY_NAMES for spec in smallest_specs(f)] + split
 
 
 @st.composite
-def cell_lists(draw) -> list[tuple[FamilySpec, int]]:
-    """Runs of cells, each run on one spec with repeated and unordered r; specs recur."""
-    cells = []
+def run_lists(draw) -> list[tuple[FamilySpec, list[int]]]:
+    """Runs, each on one spec with repeated and unordered r; specs recur, also in adjacent runs."""
+    runs = []
     for spec in draw(st.lists(st.sampled_from(SMALL_SPECS), max_size=8)):
         top = int(diameter(generate(spec))) + 2
-        rs = draw(st.lists(st.integers(1, top), min_size=1, max_size=5))
-        cells.extend((spec, r) for r in rs)
-    return cells
+        runs.append((spec, draw(st.lists(st.integers(1, top), min_size=1, max_size=5))))
+    return runs
 
 
 @functools.cache
@@ -182,11 +183,12 @@ def bfs_oracle(spec: FamilySpec, r: int) -> tuple[int, set[tuple[int, int]], int
 
 
 @settings(max_examples=150, deadline=None)
-@given(cell_lists())
-def test_reconcile_matches_cell_by_cell(cells):
-    """Each record against its own cell's oracles: the BFS power, exhaustive search, the formula."""
-    records = reconcile(cells)
-    assert [(rec.spec, rec.r) for rec in records] == cells
+@given(run_lists())
+def test_reconcile_matches_cell_by_cell(runs):
+    """One record per exponent of each run, in order, each against its own cell's oracles:
+    the BFS power, exhaustive search, the formula."""
+    records = reconcile(runs)
+    assert [(rec.spec, rec.r) for rec in records] == [(spec, r) for spec, rs in runs for r in rs]
     for rec in records:
         n, edges, omega = bfs_oracle(rec.spec, rec.r)
         assert len(set(rec.witness)) == len(rec.witness) and set(rec.witness) <= set(range(n))
@@ -211,19 +213,44 @@ def test_default_grid_against_bfs_power_and_brute_force():
     assert small == 601
 
 
+def test_cycle_sun_sunlet_at_every_exponent_up_to_n_60():
+    """Cycle, sun and sunlet for n = 3..60 at every exponent 1..diameter+1: 3,045 records.
+
+    A witness is a maximal clique of G^r exactly when the closed r-balls of
+    its vertices, read off one BFS distance matrix per spec, meet in the
+    witness itself.  Every cycle record agrees; the published sun and sunlet
+    formulas disagree with the oracle on 58 and 86 records.  Reconciling takes
+    about 3 s; the budget is 20 s (without the colour bound, the cycles alone
+    ran for more than 10 minutes).
+    """
+    runs = [run for f in ("cycle", "sun", "sunlet") for run in family_runs(f, {"n": range(3, 61)})]
+    start = time.perf_counter()
+    records = reconcile(runs)
+    elapsed = time.perf_counter() - start
+    assert len(records) == 3045
+    distances = {spec: bfs_distances(g.n, g.edges) for spec, _ in runs for g in [generate(spec)]}
+    for rec in records:
+        balls = ({v for v, d in distances[rec.spec][w].items() if d <= rec.r} for w in rec.witness)
+        assert len(set(rec.witness)) == len(rec.witness)
+        assert set.intersection(*balls) == set(rec.witness), (rec.spec, rec.r)
+    disagree = Counter(rec.spec.family for rec in records if rec.status == "disagree")
+    assert disagree == {"sun": 58, "sunlet": 86}
+    assert elapsed < 20.0, elapsed
+
+
 def test_runs_of_r1_build_no_distance_matrix(monkeypatch):
     calls = []
     real = graphcore.all_pairs_distance
     monkeypatch.setattr(graphcore, "all_pairs_distance", lambda g: calls.append(g) or real(g))
-    cells = [(spec_of("helm", n=5), 1), (spec_of("cycle", n=6), 1), (spec_of("cycle", n=6), 1)]
-    assert [rec.oracle for rec in reconcile(cells)] == [3, 2, 2]
+    runs = [(spec_of("helm", n=5), (1,)), (spec_of("cycle", n=6), (1, 1))]
+    assert [rec.oracle for rec in reconcile(runs)] == [3, 2, 2]
     assert calls == []
 
 
 def test_default_grid_work_is_pinned(monkeypatch):
-    """One graph per spec, one distance matrix per spec with an r >= 2, no
-    graph or search for a complete power, one search for every other cell."""
-    cells = default_grid()
+    """The grid builds one graph and one distance matrix per spec, for its diameter.
+    Reconcile builds one graph per spec, one distance matrix per spec with an
+    r >= 2, no graph or search for a complete power, one search for every other cell."""
     calls = Counter()
     for module, name in [
         (nourish, "generate"),
@@ -233,7 +260,10 @@ def test_default_grid_work_is_pinned(monkeypatch):
     ]:
         real = getattr(module, name)
         monkeypatch.setattr(module, name, functools.partial(_counted, calls, name, real))
-    reconcile(cells)
+    runs = default_grid()
+    assert calls == {"generate": 386, "all_pairs_distance": 386}
+    calls.clear()
+    reconcile(runs)
     assert calls == {"generate": 386, "all_pairs_distance": 385, "max_clique": 497, "_distance_graph": 111}
 
 
@@ -247,13 +277,13 @@ def test_nonpositive_r_is_rejected_before_any_graph_is_built(monkeypatch, rs):
     built = []
     monkeypatch.setattr(nourish, "generate", lambda spec: built.append(spec) or generate(spec))
     with pytest.raises(ValueError, match=rf"^power exponent must be >= 1, got {min(rs)}$"):
-        reconcile([(spec_of("cycle", n=5), r) for r in rs])
+        reconcile([(spec_of("cycle", n=5), rs)])
     assert built == []
 
 
 class TestOutputFormats:
     def test_csv_shape(self):
-        records = reconcile([(spec_of("cycle", n=5), 1)])
+        records = reconcile([(spec_of("cycle", n=5), (1,))])
         lines = records_to_csv(records).splitlines()
         assert lines[0] == ",".join(CSV_HEADER)
         assert lines[1] == "cycle,n=5,1,2,2,agree,0 1"
@@ -261,7 +291,7 @@ class TestOutputFormats:
     def test_json_round_trip_fields(self):
         import json
 
-        records = reconcile([(spec_of("fan", m=1, n=2), 1)])
+        records = reconcile([(spec_of("fan", m=1, n=2), (1,))])
         data = json.loads(records_to_json(records))
         assert data[0]["status"] == "agree"
         assert data[0]["spec"]["family"] == "fan"
@@ -280,11 +310,13 @@ class TestGrids:
         }
 
     def test_default_grid_cells_are_pinned(self):
-        cells = default_grid()
-        assert len(cells) == 1240
-        assert len({spec for spec, _ in cells}) == 386
-        runs = [(family, len(list(run))) for family, run in groupby(spec.family for spec, _ in cells)]
-        assert runs == [
+        runs = default_grid()
+        assert sum(len(rs) for _, rs in runs) == 1240
+        assert len(runs) == len({spec for spec, _ in runs}) == 386
+        assert all(list(rs) == list(range(1, len(rs) + 1)) for _, rs in runs)
+        by_family = groupby(runs, key=lambda run: run[0].family)
+        cells = [(family, sum(len(rs) for _, rs in group)) for family, group in by_family]
+        assert cells == [
             ("path", 65), ("cycle", 32), ("complete", 19), ("kmn", 299), ("wheel", 23),
             ("helm", 39), ("friendship", 29), ("fan", 298), ("ksplit", 290), ("sun", 40),
             ("csun", 31), ("sunlet", 48), ("split", 27),

@@ -23,7 +23,7 @@ RECORDS = [
     SPEC,
     LABELING,
     verify_strong_iasi(Graph(2, [(0, 1)]), Labeling((IntSet([1, 2]), IntSet([2, 3])), 2)),
-    reconcile([(FamilySpec.make("wheel", n=3), 1)])[0],
+    reconcile([(FamilySpec.make("wheel", n=3), (1,))])[0],
 ]
 
 
