@@ -84,7 +84,10 @@ def _family_params(args: argparse.Namespace) -> dict:
 
 
 def _spec_from_args(args: argparse.Namespace) -> FamilySpec:
-    return FamilySpec.make(args.family, adj=_parse_adj(args.adj), **_family_params(args))
+    spec = FamilySpec.make(args.family, adj=_parse_adj(args.adj), **_family_params(args))
+    if getattr(args, "r", 1) < 1:  # before any command builds G; gen takes no --r
+        raise ValueError(f"power exponent must be >= 1, got {args.r}")
+    return spec
 
 
 def _parse_range(text: str, name: str) -> range:

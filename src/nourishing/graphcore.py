@@ -2,9 +2,8 @@
 
 Graphs are simple and undirected with vertices 0..n-1, immutable after
 construction; ``Graph`` says how they are stored and ``max_clique`` how the
-exact search runs: Bron-Kerbosch with pivoting on int bitmasks, pruned by a
-greedy colouring of the candidates.  ``power_cliques`` answers many powers of
-one graph.
+exact search runs on neighbour bitmasks.  ``power_cliques`` answers many powers
+of one graph, reading each G^r's masks straight off one distance matrix.
 """
 
 from __future__ import annotations
@@ -133,13 +132,8 @@ def power(g: Graph, r: int) -> Graph:
         raise ValueError(f"power exponent must be >= 1, got {r}")
     if r == 1:
         return g
-    return _distance_graph(all_pairs_distance(g), r)
-
-
-def _distance_graph(dist: Sequence[Sequence[float]], r: int) -> Graph:
-    """The graph joining each pair at distance <= r in an ``all_pairs_distance`` matrix."""
     return Graph._from_adjacency(
-        frozenset(v for v, d in enumerate(row) if d <= r and v != u) for u, row in enumerate(dist)
+        frozenset(v for v, d in enumerate(row) if 0 < d <= r) for row in all_pairs_distance(g)
     )
 
 
@@ -150,12 +144,13 @@ def is_complete(g: Graph) -> bool:
 def max_clique(g: Graph) -> tuple[int, ...]:
     """One maximum clique, as a sorted vertex tuple.  Exact.
 
-    Bron-Kerbosch with pivoting on an explicit stack of ``(clique, candidates,
-    excluded)`` frames, where candidates and excluded are int bitmasks over a
-    local list of neighbour bitmasks.  The pivot has the most candidate
-    neighbours, ties going to the lowest vertex, and branches run lowest vertex
-    first; the witness is the first largest clique found.  Complete graphs skip
-    the search.
+    Complete graphs skip the search.  It runs on neighbour masks (bit w of
+    ``adj[v]`` set iff v and w are adjacent), which ``power_cliques`` reads
+    for G^r off distance rows: Bron-Kerbosch with pivoting on an explicit
+    stack of ``(clique, candidates, excluded)`` frames of bitmasks.  The
+    pivot has the most candidate neighbours, ties going to the lowest vertex.
+    Branches are pushed highest vertex first, so the stack runs them lowest
+    first; the witness is the first largest clique found in that order.
 
     Once a clique has been found, a frame is dropped when its candidates
     cannot extend it past the best one (the bound of Tomita and Seki's MCQ).
@@ -169,9 +164,13 @@ def max_clique(g: Graph) -> tuple[int, ...]:
     """
     if is_complete(g):
         return tuple(range(g.n))
-    adj = [sum(1 << w for w in nbrs) for nbrs in g]
+    return _search([sum(1 << w for w in nbrs) for nbrs in g])
+
+
+def _search(adj: Sequence[int]) -> tuple[int, ...]:
+    """``max_clique``'s search over the neighbour masks of a graph that is not complete."""
     best: tuple[int, ...] = ()
-    stack = [((), (1 << g.n) - 1, 0)]
+    stack = [((), (1 << len(adj)) - 1, 0)]
     while stack:
         clique, candidates, excluded = stack.pop()
         if not candidates and not excluded:
@@ -201,16 +200,12 @@ def max_clique(g: Graph) -> tuple[int, ...]:
             if k > most:
                 pivot, most = u, k
             pool ^= low
-        branches = []
+        # branches go on highest vertex first, so they pop lowest first; rest holds those still to push
         rest = candidates & ~adj[pivot]
         while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            branches.append((clique + (v,), candidates & adj[v], excluded & adj[v]))
-            candidates ^= low
-            excluded |= low
-            rest ^= low
-        stack.extend(reversed(branches))
+            v = rest.bit_length() - 1
+            rest ^= 1 << v
+            stack.append((clique + (v,), candidates & ~rest & adj[v], (excluded | rest) & adj[v]))
     return best
 
 
@@ -218,8 +213,8 @@ def power_cliques(g: Graph, rs: Sequence[int]) -> list[tuple[int, ...]]:
     """One maximum clique of G^r for each exponent in ``rs``, in order.
 
     The distance matrix is built once, only if some r >= 2 needs it.  G^r is
-    complete once r reaches the largest distance, so such a power is answered
-    as every vertex without being built or searched.
+    complete once r reaches the largest distance, so it is answered as every
+    vertex; below that, its masks (0 < d <= r) are searched with no ``Graph``.
     """
     if min(rs, default=1) < 1:
         raise ValueError(f"power exponent must be >= 1, got {min(rs)}")
@@ -233,7 +228,8 @@ def power_cliques(g: Graph, rs: Sequence[int]) -> list[tuple[int, ...]]:
         elif r >= widest:
             witnesses.append(tuple(range(g.n)))
         else:
-            witnesses.append(max_clique(_distance_graph(dist, r)))
+            adj = [sum(1 << v for v, d in enumerate(row) if 0 < d <= r) for row in dist]
+            witnesses.append(_search(adj))
     return witnesses
 
 

@@ -430,6 +430,8 @@ class TestUsageErrors:
              "cannot parse --r '': invalid literal for int() with base 10: ''"),
             (("gen", "--family", "cycle", "--n", "4", "--adj", ""),
              "cannot parse --adj '': invalid literal for int() with base 10: ''"),
+            *(((cmd, "--family", "cycle", "--n", "5", "--r", r), f"power exponent must be >= 1, got {r}")
+              for cmd in ("power", "label") for r in ("0", "-2")),
         ],
     )
     def test_usage_error_message_pinned(self, capsys, argv, message):
@@ -466,6 +468,15 @@ class TestUsageErrors:
         monkeypatch.setattr(cli, "generate", lambda spec: built.append(spec) or generate(spec))
         argv = ("label", "--family", "cycle", "--n", "2500", "--r", "2", "--s-label", size)
         assert run(capsys, *argv) == (2, "", f"--s-label must be >= 1, got {size}\n")
+        assert built == []
+
+    @pytest.mark.parametrize("command", ["power", "label"])
+    @pytest.mark.parametrize("r", ["0", "-1"])
+    def test_nonpositive_r_of_power_and_label_builds_no_graph(self, capsys, monkeypatch, command, r):
+        built = []
+        monkeypatch.setattr(cli, "generate", lambda spec: built.append(spec) or generate(spec))
+        argv = (command, "--family", "ksplit", "--c", "1100", "--s-size", "2", "--r", r)
+        assert run(capsys, *argv) == (2, "", f"power exponent must be >= 1, got {r}\n")
         assert built == []
 
     def test_missing_parser_args(self, capsys):

@@ -358,9 +358,12 @@ def test_power_cliques_answers_each_power(drawn, bad, rnd):
     g, rs = drawn
     witnesses = power_cliques(g, rs)
     assert witnesses == [max_clique(power(g, r)) for r in rs]
+    # conftest's BFS power and frozenset search share no code with the library
+    powers = [Graph(g.n, bfs_power_edges(g.n, g.edges, r)) for r in rs]
+    assert witnesses == [reference_max_clique(g_r) for g_r in powers]
     if g.n <= 10:
-        for r, witness in zip(rs, witnesses):
-            assert len(witness) == brute_force_clique_number(Graph(g.n, bfs_power_edges(g.n, g.edges, r)))
+        for g_r, witness in zip(powers, witnesses):
+            assert len(witness) == brute_force_clique_number(g_r)
     worse = rs[:]
     worse.insert(rnd.randint(0, len(rs)), bad)
     with pytest.raises(ValueError, match=rf"^power exponent must be >= 1, got {min(worse)}$"):

@@ -249,22 +249,27 @@ def test_runs_of_r1_build_no_distance_matrix(monkeypatch):
 
 def test_default_grid_work_is_pinned(monkeypatch):
     """The grid builds one graph and one distance matrix per spec, for its diameter.
-    Reconcile builds one graph per spec, one distance matrix per spec with an
-    r >= 2, no graph or search for a complete power, one search for every other cell."""
+    Reconcile builds one graph per spec and no other, one distance matrix per
+    spec with an r >= 2, and no search for a complete power.  ``max_clique``
+    answers each r = 1 (28 of those graphs are complete, so it searches 358);
+    every other power's 111 searches run on masks read off the matrix."""
     calls = Counter()
     for module, name in [
         (nourish, "generate"),
         (graphcore, "all_pairs_distance"),
         (graphcore, "max_clique"),
-        (graphcore, "_distance_graph"),
+        (graphcore, "_search"),
     ]:
         real = getattr(module, name)
         monkeypatch.setattr(module, name, functools.partial(_counted, calls, name, real))
+    build = Graph._from_adjacency  # every Graph is built through it
+    monkeypatch.setattr(Graph, "_from_adjacency", functools.partial(_counted, calls, "Graph", build))
     runs = default_grid()
-    assert calls == {"generate": 386, "all_pairs_distance": 386}
+    assert calls == {"generate": 386, "Graph": 386, "all_pairs_distance": 386}
     calls.clear()
     reconcile(runs)
-    assert calls == {"generate": 386, "all_pairs_distance": 385, "max_clique": 497, "_distance_graph": 111}
+    assert calls == {
+        "generate": 386, "Graph": 386, "all_pairs_distance": 385, "max_clique": 386, "_search": 469}
 
 
 def _counted(calls: Counter, name: str, real, *args):
