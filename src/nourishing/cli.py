@@ -3,7 +3,7 @@
 Subcommands: gen, power, omega, kappa, label, verify, reconcile.  All machine
 output is deterministic for fixed inputs (no timestamps).  Exit codes: 0 on
 success, 1 when `verify` rejects a labeling or `reconcile --expect-golden`
-sees a deviation, 2 on usage or parameter errors.
+sees a deviation, 2 on usage or parameter errors and on running out of memory.
 
 Family parameters mirror the literature's letters as flags (--m, --n, --c,
 --s-size, --r).  Note that ``path --m 3`` is the path of *length* 3, i.e. four
@@ -279,6 +279,9 @@ def main(argv: list[str] | None = None) -> int:
         return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError) as exc:  # FamilyParameterError and JSONDecodeError included
         print(str(exc), file=sys.stderr)
+        return USAGE_ERROR
+    except MemoryError:  # e.g. a --s-label or family size too large for the machine
+        print("out of memory", file=sys.stderr)
         return USAGE_ERROR
 
 

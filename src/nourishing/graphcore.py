@@ -178,8 +178,6 @@ def _search(adj: Sequence[int]) -> tuple[int, ...]:
                 best = tuple(sorted(clique))
             continue
         spare = len(best) - len(clique)
-        if candidates.bit_count() <= spare:
-            continue
         # a clique takes at most one candidate from each greedy colour class
         uncoloured, colours = candidates, 0
         while uncoloured and colours <= spare:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from nourishing.graphcore import Graph
-from nourishing.setalg import IntSet, _primes_above, make_difference_chain
+from nourishing.setalg import IntSet, _primes_above, make_difference_chain, sumset
 
 
 class _LabelingFields(NamedTuple):
@@ -169,18 +169,10 @@ def construct_strong_iasi(g: Graph, s: int = 2) -> Labeling:
 
 
 def induced_edge_labels(g: Graph, labeling: Labeling) -> dict[tuple[int, int], tuple[int, ...]]:
-    """Each edge mapped to the sumset of its endpoint labels.
-
-    A sumset is a plain ascending tuple of its elements: it equals, and
-    hashes like, the ``IntSet`` that ``setalg.sumset`` would build, without
-    that constructor's per-edge validation (the sum of two valid labels is
-    nonempty and non-negative).
-    """
+    """Each edge mapped to ``sumset`` of its endpoint labels."""
     labeling.check_covers(g.n)
     L = labeling.labels
-    return {
-        (u, v): tuple(sorted({x + y for x in L[u] for y in L[v]})) for u, v in g.sorted_edges()
-    }
+    return {(u, v): sumset(L[u], L[v]) for u, v in g.sorted_edges()}
 
 
 def _collisions(kind: str, labelled: Iterable[tuple[object, tuple]]) -> list[tuple[str, tuple]]:

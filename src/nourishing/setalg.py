@@ -57,9 +57,14 @@ class IntSet(tuple):
         return result
 
 
-def sumset(a: IntSet, b: IntSet) -> IntSet:
-    """The sumset A + B = {x + y : x in A, y in B}."""
-    return IntSet(x + y for x in a for y in b)
+def sumset(a: IntSet, b: IntSet) -> tuple[int, ...]:
+    """The sumset A + B = {x + y : x in A, y in B}, as an ascending plain tuple.
+
+    The tuple equals, and hashes like, the ``IntSet`` of the same elements.
+    It skips ``IntSet``'s validation: the sum of two ``IntSet``s is already
+    nonempty and non-negative.
+    """
+    return tuple(sorted({x + y for x in a for y in b}))
 
 
 def difference_set(a: IntSet) -> frozenset[int]:

@@ -479,6 +479,21 @@ class TestUsageErrors:
         assert run(capsys, *argv) == (2, "", f"power exponent must be >= 1, got {r}\n")
         assert built == []
 
+    @pytest.mark.parametrize(
+        "module, argv",
+        [
+            (cli, ("label", "--family", "cycle", "--n", "3", "--s-label", "100000000")),
+            (nourish, ("reconcile", "--family", "cycle", "--n", "3..5")),
+        ],
+    )
+    def test_out_of_memory_exits_2_with_one_line(self, capsys, monkeypatch, module, argv):
+        """Only the generate that the command calls raises; nothing is allocated for real."""
+        def exhausted(spec):
+            raise MemoryError
+
+        monkeypatch.setattr(module, "generate", exhausted)
+        assert run(capsys, *argv) == (2, "", "out of memory\n")
+
     def test_missing_parser_args(self, capsys):
         assert run(capsys, "gen") == (2, "", "nourish gen: the following arguments are required: --family\n")
 

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import brute_force_sumset
+from nourishing import iasi
 from nourishing.families import FamilySpec, generate
 from nourishing.graphcore import Graph, clique_number, power
 from nourishing.iasi import (
@@ -110,6 +112,15 @@ class TestInducedEdgeLabels:
     def test_missing_label(self):
         with pytest.raises(ValueError, match="labeling covers 1 vertices, graph has 3"):
             induced_edge_labels(Graph(3, [(0, 1)]), Labeling((IntSet([0]),), 1))
+
+    def test_each_edge_label_is_one_sumset_call(self, monkeypatch):
+        g = power(Graph(6, [(i, (i + 1) % 6) for i in range(6)]), 2)
+        lab = construct_strong_iasi(g)
+        calls = []
+        monkeypatch.setattr(iasi, "sumset", lambda a, b: calls.append((a, b)) or sumset(a, b))
+        edge_labels = induced_edge_labels(g, lab)
+        assert calls == [(lab.labels[u], lab.labels[v]) for u, v in g.sorted_edges()]
+        assert list(edge_labels.values()) == [sumset(a, b) for a, b in calls]
 
 
 class TestVerifier:
@@ -328,8 +339,8 @@ def test_verifier_matches_slow_oracle(drawn):
     edge_labels = induced_edge_labels(g, lab)
     assert list(edge_labels) == g.sorted_edges()
     for (u, v), label in edge_labels.items():
-        assert label == sumset(lab.labels[u], lab.labels[v])
-        assert hash(label) == hash(sumset(lab.labels[u], lab.labels[v]))
+        expected = IntSet(brute_force_sumset(lab.labels[u], lab.labels[v]))
+        assert label == expected and hash(label) == hash(expected)
 
 
 @st.composite

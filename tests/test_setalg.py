@@ -89,6 +89,12 @@ class TestSumset:
         assert sumset(a, b) == sumset(b, a)
 
     @given(int_sets, int_sets)
+    def test_plain_tuple_equal_to_and_hashing_like_its_intset(self, a, b):
+        result, expected = sumset(a, b), IntSet(brute_force_sumset(a, b))
+        assert type(result) is tuple
+        assert result == expected and hash(result) == hash(expected)
+
+    @given(int_sets, int_sets)
     def test_cardinality_bounds(self, a, b):
         k = len(sumset(a, b))
         assert max(len(a), len(b)) <= k <= len(a) * len(b)
