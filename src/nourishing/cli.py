@@ -74,13 +74,9 @@ def _flag(name: str) -> str:
 
 def _family_params(args: argparse.Namespace) -> dict:
     """The family's parameters by name; a flag it lacks or does not take is an error."""
-    wanted = FAMILY_PARAMS[args.family]
-    for name in PARAM_FLAGS:
-        given = getattr(args, name) is not None
-        if given != (name in wanted):
-            rule = "takes no" if given else "requires"
-            raise FamilyParameterError(f"{args.family} {rule} {_flag(name)}")
-    return {name: getattr(args, name) for name in wanted}
+    given = {name: getattr(args, name) for name in PARAM_FLAGS if getattr(args, name) is not None}
+    FamilySpec.check_params(args.family, given, _flag)
+    return given
 
 
 def _spec_from_args(args: argparse.Namespace) -> FamilySpec:
@@ -103,7 +99,7 @@ def _parse_range(text: str, name: str) -> range:
 
 def _emit_graph(g: Graph, fmt: str) -> None:
     if fmt == "json":
-        print(g.to_json_str())
+        print(json.dumps(g.to_json(), separators=(",", ":")))
     elif fmt == "dot":
         print(g.to_dot())
     elif fmt == "table":

@@ -15,7 +15,7 @@ their number.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from nourishing.graphcore import Graph
 
@@ -113,6 +113,16 @@ class FamilySpec(_FamilySpecFields):
             message = f"split adj must be a list of neighbor lists, got {adj!r}"
             raise FamilyParameterError(message) from None
         return cls(family, tuple((k, params[k]) for k in order if k in params), lists)
+
+    @staticmethod
+    def check_params(family: str, given: Collection[str], spell: Callable[[str], str]) -> None:
+        """Raise FamilyParameterError naming, as ``spell(name)``, the first parameter ``given``
+        lacks, else the first given name ``family`` does not take; an unknown family passes."""
+        wanted = FAMILY_PARAMS.get(family, given)
+        missing = [f"requires {spell(k)}" for k in wanted if k not in given]
+        stray = [f"takes no {spell(k)}" for k in given if k not in wanted]
+        if missing or stray:
+            raise FamilyParameterError(f"{family} {(missing + stray)[0]}")
 
     def param(self, name: str) -> int:
         """The value of parameter ``name``; KeyError if the family takes no such parameter."""

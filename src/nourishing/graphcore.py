@@ -8,7 +8,6 @@ of one graph, reading each G^r's masks straight off one distance matrix.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from typing import Iterable, Sequence
@@ -74,9 +73,6 @@ class Graph(tuple):
 
     def to_json(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in self.sorted_edges()]}
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), separators=(",", ":"))
 
     @staticmethod
     def order_from_json(data: object) -> int:

@@ -16,7 +16,7 @@ import json
 from itertools import product
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from nourishing.families import FAMILIES, FAMILY_PARAMS, FamilyParameterError, FamilySpec, generate
+from nourishing.families import FAMILIES, FAMILY_PARAMS, FamilySpec, generate
 from nourishing.graphcore import diameter, power_cliques
 
 
@@ -110,11 +110,8 @@ def family_runs(
     ``FamilySpec`` validates each spec as it is built.  Each run's exponents
     are ``r_range``, or by default 1 to the spec's diameter+1.
     """
+    FamilySpec.check_params(family, ranges, lambda name: f"parameter {name!r}")
     names = tuple(FAMILY_PARAMS.get(family, ()))  # FamilySpec names an unknown family
-    for name in (*names, *ranges):
-        if names and (name in names) != (name in ranges):
-            rule = "takes no parameter" if name in ranges else "needs a range for"
-            raise FamilyParameterError(f"{family} {rule} {name!r}")
     specs = [
         FamilySpec.make(family, adj=adj, **dict(zip(names, values)))
         for values in product(*(ranges[name] for name in names))

@@ -6,8 +6,10 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -17,7 +19,7 @@ import pytest
 
 from nourishing import cli, nourish
 from nourishing.cli import main
-from nourishing.families import FamilySpec, generate
+from nourishing.families import FAMILY_PARAMS, FamilyParameterError, FamilySpec, generate
 
 DATA = Path(__file__).parent / "data"
 
@@ -181,6 +183,9 @@ class TestLabelVerify:
             (("cycle", "--n", "150", "--r", "1", "--s-label", "2"), "34dfc509db148ec3"),
             (("friendship", "--n", "40", "--r", "2", "--s-label", "3"), "3a36f0981bec6079"),
             (("kmn", "--m", "20", "--n", "30", "--r", "2", "--s-label", "4"), "1e0c6c7c7d8c0de5"),
+            # degrees differ, so the greedy colouring's degree order shows in the labels
+            (("fan", "--m", "3", "--n", "8", "--r", "1", "--s-label", "2"), "9212bcf1d3c29b53"),
+            (("wheel", "--n", "7", "--r", "1", "--s-label", "2"), "72042b63cf51a0e2"),
         ],
     )
     def test_label_output_pinned(self, capsys, argv, digest):
@@ -374,6 +379,14 @@ class TestReconcile:
             "bcca0a6f7ed742a35c09f9abdd8701713bece4633c415bbc46b5578af93f858e"
         )
 
+    def test_default_grid_json_pinned(self, capsys):
+        code, out, _ = run(capsys, "reconcile", "--grid", "default", "--format", "json")
+        assert code == 0
+        assert len(out) == 345334
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "2230e1fa638859d4bc8c90e084b8acf7e146fb2312b41ce50fd52a5e90c0eb80"
+        )
+
     def test_grid_looked_up_at_call_time(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "audit_grid", lambda: [(FamilySpec.make("cycle", n=3), (1,))])
         code, out, _ = run(capsys, "reconcile", "--grid", "audit")
@@ -540,6 +553,23 @@ class TestUsageErrors:
     )
     def test_split_without_adjacency_gets_one_message(self, capsys, argv):
         assert run(capsys, *argv) == (2, "", "split requires at least one independent vertex\n")
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
+    @pytest.mark.parametrize(
+        "names", [c for k in range(5) for c in itertools.combinations("mncs", k)],
+        ids=lambda names: "".join(names) or "none",
+    )
+    def test_cli_and_family_runs_reject_the_same_parameter(self, capsys, family, names):
+        """``gen`` given these flags and ``family_runs`` given these ranges name the same
+        parameter with the same verb; only the spelling differs (--s-size, parameter 's')."""
+        flag = {"m": "--m", "n": "--n", "c": "--c", "s": "--s-size"}
+        _, _, err = run(capsys, "gen", "--family", family, *(a for k in names for a in (flag[k], "3")))
+        try:
+            nourish.family_runs(family, {name: range(3, 4) for name in names}, [1])
+            library = ""
+        except FamilyParameterError as exc:
+            library = re.sub(r"parameter '(\w)'", lambda m: flag[m[1]], str(exc)) + "\n"
+        assert err == library
 
 
 class TestDispatch:

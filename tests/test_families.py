@@ -253,7 +253,7 @@ class TestGrid:
 
     @pytest.mark.parametrize(
         "family, ranges, message",
-        [("kmn", {"m": range(1, 3)}, "kmn needs a range for 'n'"),
+        [("kmn", {"m": range(1, 3)}, "kmn requires parameter 'n'"),
          ("cycle", {"n": range(3, 5), "x": range(1, 3)}, "cycle takes no parameter 'x'"),
          ("kmn", {"m": range(0), "n": range(1, 3), "s": range(0)}, "kmn takes no parameter 's'")],
     )

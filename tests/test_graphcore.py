@@ -62,7 +62,7 @@ class TestGraph:
 
     def test_json_round_trip(self):
         g = cycle_graph(5)
-        assert Graph.from_json(json.loads(g.to_json_str())) == g
+        assert Graph.from_json(json.loads(json.dumps(g.to_json()))) == g
 
     def test_dot_output(self):
         dot = path_graph(1).to_dot()
