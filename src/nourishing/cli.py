@@ -90,9 +90,10 @@ def _parse_range(text: str, name: str) -> range:
     lo, dots, hi = text.partition("..")
     try:
         values = range(int(lo), int(hi if dots else lo) + 1)
-    except ValueError as exc:
+        empty = len(values) == 0  # OverflowError past sys.maxsize values, more than any loop covers
+    except (ValueError, OverflowError) as exc:
         raise FamilyParameterError(f"cannot parse {_flag(name)} {text!r}: {exc}") from exc
-    if not values:
+    if empty:
         raise FamilyParameterError(f"empty range {text!r} for {_flag(name)}")
     return values
 

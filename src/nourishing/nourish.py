@@ -19,6 +19,8 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 from nourishing.families import FAMILIES, FAMILY_PARAMS, FamilySpec, generate
 from nourishing.graphcore import diameter, power_cliques
 
+Run = tuple[FamilySpec, Optional[Sequence[int]]]  # None: 1 to the diameter+1 of the spec's graph
+
 
 class NourishingRecord(NamedTuple):
     """One reconciliation cell: formula value vs exact clique value.
@@ -63,16 +65,21 @@ def formula_kappa(spec: FamilySpec, r: int) -> int:
     return FAMILIES[spec.family].kappa(r, **spec.arguments())
 
 
-def reconcile(runs: Iterable[tuple[FamilySpec, Sequence[int]]]) -> list[NourishingRecord]:
+def reconcile(runs: Iterable[Run]) -> list[NourishingRecord]:
     """One record per exponent, in run order: the formula and one maximum clique of G^r.
 
-    A run is one spec with a sequence of exponents.  Each run computes its
-    formulas first, so an exponent below 1 is rejected before any graph is built.
+    A run is one spec with a sequence of exponents, or ``None`` for 1 to the
+    diameter+1 of the graph built here.  Given exponents get their formulas
+    first, so one below 1 is rejected before any graph is built.
     """
     records = []
     for spec, rs in runs:
-        formulas = [formula_kappa(spec, r) for r in rs]
-        witnesses = power_cliques(generate(spec), rs)
+        formulas = None if rs is None else [formula_kappa(spec, r) for r in rs]
+        g = generate(spec)
+        if rs is None:
+            rs = range(1, int(diameter(g)) + 2)
+            formulas = [formula_kappa(spec, r) for r in rs]
+        witnesses = power_cliques(g, rs)
         records.extend(NourishingRecord(spec, r, f, w) for r, f, w in zip(rs, formulas, witnesses))
     return records
 
@@ -93,32 +100,25 @@ def records_to_json(records: Sequence[NourishingRecord]) -> str:
     return json.dumps([rec.to_json() for rec in records], indent=2) + "\n"
 
 
-def _runs_with_default_r(specs: Iterable[FamilySpec]) -> list[tuple[FamilySpec, Sequence[int]]]:
-    return [(spec, range(1, int(diameter(generate(spec))) + 2)) for spec in specs]
-
-
 def family_runs(
     family: str,
     ranges: Mapping[str, Sequence[int]],
     r_range: Optional[Sequence[int]] = None,
     adj: Sequence[Sequence[int]] = (),
-) -> list[tuple[FamilySpec, Sequence[int]]]:
-    """One run per spec of a family over parameter ranges, in lexicographic order.
+) -> list[Run]:
+    """One run ``(spec, r_range)`` per spec of a family over parameter ranges, in lexicographic order.
 
     ``ranges`` maps each of the family's parameters, and no other name, to
     its values, and every spec takes ``adj`` (split's neighbor lists);
-    ``FamilySpec`` validates each spec as it is built.  Each run's exponents
-    are ``r_range``, or by default 1 to the spec's diameter+1.
+    ``FamilySpec`` validates each spec as it is built.  No graph is built, so
+    ``r_range=None`` leaves the exponents to ``reconcile`` (1 to diameter+1).
     """
     FamilySpec.check_params(family, ranges, lambda name: f"parameter {name!r}")
     names = tuple(FAMILY_PARAMS.get(family, ()))  # FamilySpec names an unknown family
-    specs = [
-        FamilySpec.make(family, adj=adj, **dict(zip(names, values)))
+    return [
+        (FamilySpec.make(family, adj=adj, **dict(zip(names, values))), r_range)
         for values in product(*(ranges[name] for name in names))
     ]
-    if r_range is None:
-        return _runs_with_default_r(specs)
-    return [(spec, r_range) for spec in specs]
 
 
 def split_probe_specs() -> list[FamilySpec]:
@@ -140,25 +140,23 @@ def split_probe_specs() -> list[FamilySpec]:
     ]
 
 
-def default_grid() -> list[tuple[FamilySpec, Sequence[int]]]:
-    """The full default reconciliation grid.
+def default_grid() -> list[Run]:
+    """The full default reconciliation grid; it builds no graph.
 
-    Parameters run from each family's minimum up to 10 and the exponent from
-    1 to diameter+1, which covers every piecewise branch of every formula;
-    split uses the fixed probe specs, after every other family.
+    Parameters run from each family's minimum up to 10 and every run's
+    exponents are ``None`` (1 to diameter+1 in ``reconcile``), which covers
+    every piecewise branch of every formula; split uses the fixed probe
+    specs, after every other family.
     """
-    runs: list[tuple[FamilySpec, Sequence[int]]] = []
-    for family, bounds in FAMILY_PARAMS.items():
-        if family != "split":
-            runs.extend(family_runs(family, {k: range(lo, 11) for k, lo in bounds.items()}))
-    runs.extend(_runs_with_default_r(split_probe_specs()))
-    return runs
+    runs = [run for family, bounds in FAMILY_PARAMS.items() if family != "split"
+            for run in family_runs(family, {k: range(lo, 11) for k, lo in bounds.items()})]
+    return runs + [(spec, None) for spec in split_probe_specs()]
 
 
-def acceptance_grid() -> list[tuple[FamilySpec, Sequence[int]]]:
+def acceptance_grid() -> list[Run]:
     """The grid behind the checked-in golden table: families whose published
     formulas are believed exact, every parameter from the published tables."""
-    runs: list[tuple[FamilySpec, Sequence[int]]] = []
+    runs: list[Run] = []
     for family, ranges in (
         ("path", {"m": range(1, 11)}),
         ("cycle", {"n": range(3, 13)}),
@@ -171,7 +169,7 @@ def acceptance_grid() -> list[tuple[FamilySpec, Sequence[int]]]:
     return runs
 
 
-def audit_grid() -> list[tuple[FamilySpec, Sequence[int]]]:
+def audit_grid() -> list[Run]:
     """Known-divergence probes: wheel at n=3, r=1 and helms cubed."""
     helms = [(FamilySpec.make("helm", n=n), (3,)) for n in range(4, 9)]
     return [(FamilySpec.make("wheel", n=3), (1,)), *helms]

@@ -24,6 +24,8 @@ ROOT = Path(__file__).resolve().parents[1]
 FAMILIES = "src/nourishing/families.py"
 GRAPHCORE = "src/nourishing/graphcore.py"
 IASI = "src/nourishing/iasi.py"
+NOURISH = "src/nourishing/nourish.py"
+SETALG = "src/nourishing/setalg.py"
 
 # (name, file, old, new, test files)
 MUTANTS = [
@@ -43,13 +45,27 @@ MUTANTS = [
     ("Sidon modulus p + 1", IASI,
      "k * k % p for", "k * k % (p + 1) for", ["tests/test_iasi.py"]),
     ("offset unit 1 + max_base", IASI,
-     "offset_unit = 1 + 2 * max_base", "offset_unit = 1 + max_base",
-     ["tests/test_iasi.py", "tests/test_acceptance.py"]),
+     "offset_unit = 1 + 2 * max_base", "offset_unit = 1 + max_base", ["tests/test_iasi.py"]),
     ("greedy colouring in index order, not by degree", IASI,
      "key=lambda v: (-g.degree(v), v)", "key=lambda v: v", ["tests/test_cli.py"]),
     ("family check lets a stray parameter through", FAMILIES,
      'stray = [f"takes no {spell(k)}" for k in given if k not in wanted]', "stray = []",
      ["tests/test_families.py", "tests/test_cli.py"]),
+    ("cycle formula r <= n // 2", FAMILIES,
+     "r + 1 if r < n // 2 else n", "r + 1 if r <= n // 2 else n", ["tests/test_nourish.py"]),
+    ("helm formula n + 3 at r = 3", FAMILIES,
+     "3: n + 4}", "3: n + 3}", ["tests/test_nourish.py"]),
+    ("split counts a repeated neighbour twice", FAMILIES,
+     "for u in set(nbrs):", "for u in nbrs:", ["tests/test_nourish.py"]),
+    ("record agrees when formula >= oracle", NOURISH,
+     '"agree" if self.formula == self.oracle', '"agree" if self.formula >= self.oracle',
+     ["tests/test_nourish.py"]),
+    ("CSV witness joined by commas", NOURISH,
+     '" ".join(map(str, self.witness))', '",".join(map(str, self.witness))', ["tests/test_nourish.py"]),
+    ("default exponents stop at the diameter", NOURISH,
+     "range(1, int(diameter(g)) + 2)", "range(1, int(diameter(g)) + 1)", ["tests/test_nourish.py"]),
+    ("chain singletons all {0}", SETALG,
+     "IntSet([i]) for i in range(k)", "IntSet([0]) for i in range(k)", ["tests/test_setalg.py"]),
 ]
 
 

@@ -22,6 +22,7 @@ from nourishing.cli import main
 from nourishing.families import FAMILY_PARAMS, FamilyParameterError, FamilySpec, generate
 
 DATA = Path(__file__).parent / "data"
+OVERSIZED = "Python int too large to convert to C ssize_t"
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -371,21 +372,24 @@ class TestReconcile:
         assert "deviates" in err
 
 
-    def test_default_grid_output_pinned(self, capsys):
-        code, out, _ = run(capsys, "reconcile", "--grid", "default", "--format", "csv")
+    @pytest.mark.parametrize(
+        "argv, size, digest",
+        [
+            (("--grid", "default", "--format", "csv"), 53910,
+             "bcca0a6f7ed742a35c09f9abdd8701713bece4633c415bbc46b5578af93f858e"),
+            (("--grid", "default", "--format", "json"), 345334,
+             "2230e1fa638859d4bc8c90e084b8acf7e146fb2312b41ce50fd52a5e90c0eb80"),
+            # a family without --r: each spec's exponents run 1..diameter+1
+            (("--family", "sun", "--n", "3..12", "--format", "csv"), 2470,
+             "e02fd0ab7cb0eb4f9775b6f5e0adf5f134f8a618d9f511ba77834b211758e620"),
+        ],
+        ids=["default-csv", "default-json", "sun-csv"],
+    )
+    def test_output_pinned(self, capsys, argv, size, digest):
+        code, out, _ = run(capsys, "reconcile", *argv)
         assert code == 0
-        assert len(out) == 53910
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "bcca0a6f7ed742a35c09f9abdd8701713bece4633c415bbc46b5578af93f858e"
-        )
-
-    def test_default_grid_json_pinned(self, capsys):
-        code, out, _ = run(capsys, "reconcile", "--grid", "default", "--format", "json")
-        assert code == 0
-        assert len(out) == 345334
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "2230e1fa638859d4bc8c90e084b8acf7e146fb2312b41ce50fd52a5e90c0eb80"
-        )
+        assert len(out) == size
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_grid_looked_up_at_call_time(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "audit_grid", lambda: [(FamilySpec.make("cycle", n=3), (1,))])
@@ -445,6 +449,13 @@ class TestUsageErrors:
              "cannot parse --adj '': invalid literal for int() with base 10: ''"),
             *(((cmd, "--family", "cycle", "--n", "5", "--r", r), f"power exponent must be >= 1, got {r}")
               for cmd in ("power", "label") for r in ("0", "-2")),
+            # ranges of more than sys.maxsize values, which no loop could cover
+            (("reconcile", "--family", "cycle", "--n", "3..99999999999999999999"),
+             f"cannot parse --n '3..99999999999999999999': {OVERSIZED}"),
+            (("reconcile", "--family", "kmn", "--m", "1..99999999999999999999", "--n", "1"),
+             f"cannot parse --m '1..99999999999999999999': {OVERSIZED}"),
+            (("reconcile", "--family", "cycle", "--n", "5", "--r", "1..99999999999999999999"),
+             f"cannot parse --r '1..99999999999999999999': {OVERSIZED}"),
         ],
     )
     def test_usage_error_message_pinned(self, capsys, argv, message):

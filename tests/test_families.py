@@ -224,10 +224,13 @@ class TestGrid:
         assert [(s.param("n"), list(rs)) for s, rs in runs] == [(n, [1, 2]) for n in (3, 4, 5)]
 
     def test_default_exponents_run_to_diameter_plus_one(self):
+        """``family_runs`` leaves the exponents to ``reconcile``, which reads them off each graph."""
         runs = family_runs("cycle", {"n": range(3, 7)})
-        assert [(s.param("n"), list(rs)) for s, rs in runs] == [
-            (3, [1, 2]), (4, [1, 2, 3]), (5, [1, 2, 3]), (6, [1, 2, 3, 4]),
-        ]
+        assert [(s.param("n"), rs) for s, rs in runs] == [(n, None) for n in range(3, 7)]
+        by_n: dict[int, list[int]] = {}
+        for rec in reconcile(runs):
+            by_n.setdefault(rec.spec.param("n"), []).append(rec.r)
+        assert list(by_n.items()) == [(3, [1, 2]), (4, [1, 2, 3]), (5, [1, 2, 3]), (6, [1, 2, 3, 4])]
 
     def test_single_param_cell_count(self):
         assert [len(rs) for _, rs in family_runs("helm", {"n": range(3, 4)}, range(1, 5))] == [4]

@@ -11,7 +11,7 @@ import time
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bfs_power_edges, brute_force_clique_number, reference_max_clique
@@ -337,6 +337,7 @@ def clique_graphs(draw) -> Graph:
 
 @settings(max_examples=300, deadline=None)
 @given(clique_graphs())
+@example(Graph(4, [(0, 3), (1, 2)]))  # a pivot tie: the lowest vertex's branch comes first
 def test_max_clique_matches_reference_search(g):
     assert max_clique(g) == reference_max_clique(g)
 

@@ -89,6 +89,8 @@ class TestFormulaFixtures:
         assert formula_kappa(shared, 2) == 5  # c + l with l = 2
         assert formula_kappa(shared, 3) == 6  # c + s
         assert formula_kappa(shared, 7) == 6
+        repeated = spec_of("split", c=2, adj=[(0, 0), (1,)])
+        assert formula_kappa(repeated, 2) == 3  # a repeated neighbour is one shared vertex
 
     def test_rejects_nonpositive_r(self):
         with pytest.raises(ValueError):
@@ -248,11 +250,12 @@ def test_runs_of_r1_build_no_distance_matrix(monkeypatch):
 
 
 def test_default_grid_work_is_pinned(monkeypatch):
-    """The grid builds one graph and one distance matrix per spec, for its diameter.
-    Reconcile builds one graph per spec and no other, one distance matrix per
-    spec with an r >= 2, and no search for a complete power.  ``max_clique``
-    answers each r = 1 (28 of those graphs are complete, so it searches 358);
-    every other power's 111 searches run on masks read off the matrix."""
+    """The grid builds no graph and no distance matrix.  Reconcile builds one
+    graph per spec and no other, one distance matrix per spec for its diameter,
+    one more per spec with an r >= 2, and no search for a complete power.
+    ``max_clique`` answers each r = 1 (28 of those graphs are complete, so it
+    searches 358); every other power's 111 searches run on masks read off the
+    matrix."""
     calls = Counter()
     for module, name in [
         (nourish, "generate"),
@@ -265,11 +268,10 @@ def test_default_grid_work_is_pinned(monkeypatch):
     build = Graph._from_adjacency  # every Graph is built through it
     monkeypatch.setattr(Graph, "_from_adjacency", functools.partial(_counted, calls, "Graph", build))
     runs = default_grid()
-    assert calls == {"generate": 386, "Graph": 386, "all_pairs_distance": 386}
-    calls.clear()
+    assert calls == {}
     reconcile(runs)
     assert calls == {
-        "generate": 386, "Graph": 386, "all_pairs_distance": 385, "max_clique": 386, "_search": 469}
+        "generate": 386, "Graph": 386, "all_pairs_distance": 771, "max_clique": 386, "_search": 469}
 
 
 def _counted(calls: Counter, name: str, real, *args):
@@ -315,12 +317,17 @@ class TestGrids:
         }
 
     def test_default_grid_cells_are_pinned(self):
+        """Each spec once, its exponents left to ``reconcile``: 1..k for each spec, 1240 cells."""
         runs = default_grid()
-        assert sum(len(rs) for _, rs in runs) == 1240
         assert len(runs) == len({spec for spec, _ in runs}) == 386
-        assert all(list(rs) == list(range(1, len(rs) + 1)) for _, rs in runs)
-        by_family = groupby(runs, key=lambda run: run[0].family)
-        cells = [(family, sum(len(rs) for _, rs in group)) for family, group in by_family]
+        assert all(rs is None for _, rs in runs)
+        records = reconcile(runs)
+        assert len(records) == 1240
+        by_spec = [[rec.r for rec in group] for _, group in groupby(records, key=lambda rec: rec.spec)]
+        assert len(by_spec) == 386
+        assert all(rs == list(range(1, len(rs) + 1)) for rs in by_spec)
+        by_family = groupby(records, key=lambda rec: rec.spec.family)
+        cells = [(family, len(list(group))) for family, group in by_family]
         assert cells == [
             ("path", 65), ("cycle", 32), ("complete", 19), ("kmn", 299), ("wheel", 23),
             ("helm", 39), ("friendship", 29), ("fan", 298), ("ksplit", 290), ("sun", 40),
