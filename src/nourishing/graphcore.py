@@ -3,7 +3,8 @@
 Graphs are simple and undirected with vertices 0..n-1, immutable after
 construction; ``Graph`` says how they are stored and ``max_clique`` how the
 exact search runs on neighbour bitmasks.  ``power_cliques`` answers many powers
-of one graph, reading each G^r's masks straight off one distance matrix.
+of one graph, reading each G^r's masks straight off one distance matrix;
+``diameter`` builds no matrix, only one breadth-first search per vertex.
 """
 
 from __future__ import annotations
@@ -118,8 +119,32 @@ def all_pairs_distance(g: Graph) -> list[list[float]]:
 
 
 def diameter(g: Graph) -> float:
-    """Maximum finite distance; INF iff disconnected; 0 for a single vertex."""
-    return max(map(max, all_pairs_distance(g)))
+    """Largest distance between two vertices; INF iff disconnected; 0 for a single vertex.
+
+    One level-by-level BFS per vertex, each keeping a ``seen`` list, its
+    frontier and a level count, so the extra memory is O(n), not a distance
+    matrix.  The diameter is the largest level count, and INF as soon as one
+    BFS reaches fewer than n vertices.
+    """
+    widest = 0
+    for source in range(g.n):
+        seen = [False] * g.n
+        seen[source] = True
+        frontier = [source]
+        level = -1
+        while frontier:
+            level += 1
+            nxt = []
+            for u in frontier:
+                for w in g[u]:
+                    if not seen[w]:
+                        seen[w] = True
+                        nxt.append(w)
+            frontier = nxt
+        if not all(seen):
+            return INF
+        widest = max(widest, level)
+    return widest
 
 
 def power(g: Graph, r: int) -> Graph:

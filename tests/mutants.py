@@ -21,6 +21,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+CLI = "src/nourishing/cli.py"
 FAMILIES = "src/nourishing/families.py"
 GRAPHCORE = "src/nourishing/graphcore.py"
 IASI = "src/nourishing/iasi.py"
@@ -37,6 +38,13 @@ MUTANTS = [
      "if k > most:", "if k >= most:", ["tests/test_graphcore.py"]),
     ("BFS stops at distance 2", GRAPHCORE,
      "if dist[w] == INF:", "if dist[w] == INF and dist[u] < 2:", ["tests/test_graphcore.py"]),
+    ("diameter ignores a BFS that misses a vertex", GRAPHCORE,
+     "if not all(seen):", "if False:", ["tests/test_graphcore.py"]),
+    ("Graph takes u = n as a vertex", GRAPHCORE,
+     "0 <= u < n and", "0 <= u <= n and", ["tests/test_graphcore.py", "tests/test_cli.py"]),
+    ("kappa --mode both drops the witness", CLI,
+     'keys = ("formula", "oracle", "witness", "status")', 'keys = ("formula", "oracle", "status")',
+     ["tests/test_cli.py"]),
     ("verify loosens its strong check", IASI,
      "if len(lab) != full)", "if len(lab) < full - 1)", ["tests/test_iasi.py"]),
     ("verify drops edge collisions", IASI,

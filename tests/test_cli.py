@@ -245,6 +245,7 @@ class TestVerifyMalformedInput:
             ('{"n": 2, "edges": [[0, 1.0]]}', "integers"),
             ('{"n": 2, "edges": [[0, null]]}', "integers"),
             ('{"n": 2, "edges": [[0, true]]}', "integers"),
+            ('{"n": 2, "edges": [[2, 0]]}', "out of range"),
         ],
     )
     def test_bad_graph_exits_2(self, capsys, tmp_path, graph, message):
@@ -432,6 +433,24 @@ class TestReconcile:
 )
 def test_table_output_pinned(capsys, argv, out):
     assert run(capsys, *argv, "--format", "table") == (0, out, "")
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (("omega", "--family", "sunlet", "--n", "5", "--r", "2"),
+         '{"omega": 5, "witness": [0, 1, 2, 3, 4]}\n'),
+        (("kappa", "--family", "helm", "--n", "4", "--r", "3", "--mode", "both"),
+         '{"family": "helm", "params": "n=4", "r": 3, "formula": 8, "oracle": 7, '
+         '"witness": [0, 1, 2, 3, 4, 5, 6], "status": "disagree"}\n'),
+        (("kappa", "--family", "helm", "--n", "4", "--r", "3", "--mode", "oracle"),
+         '{"family": "helm", "params": "n=4", "r": 3, "oracle": 7, "witness": [0, 1, 2, 3, 4, 5, 6]}\n'),
+        (("kappa", "--family", "helm", "--n", "4", "--r", "3", "--mode", "formula"),
+         '{"family": "helm", "params": "n=4", "r": 3, "formula": 8}\n'),
+    ],
+)
+def test_json_output_pinned(capsys, argv, out):
+    assert run(capsys, *argv, "--format", "json") == (0, out, "")
 
 
 class TestUsageErrors:

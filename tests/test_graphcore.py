@@ -49,6 +49,10 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph(3, [(0, 3)])
         with pytest.raises(ValueError):
+            Graph(3, [(3, 0)])
+        with pytest.raises(ValueError):
+            Graph(3, [(-1, 0)])
+        with pytest.raises(ValueError):
             Graph(0, [])
 
     @pytest.mark.parametrize("edge", [(0.5, 1), ("0", 1), (True, 2)])

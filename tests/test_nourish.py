@@ -251,14 +251,15 @@ def test_runs_of_r1_build_no_distance_matrix(monkeypatch):
 
 def test_default_grid_work_is_pinned(monkeypatch):
     """The grid builds no graph and no distance matrix.  Reconcile builds one
-    graph per spec and no other, one distance matrix per spec for its diameter,
-    one more per spec with an r >= 2, and no search for a complete power.
-    ``max_clique`` answers each r = 1 (28 of those graphs are complete, so it
-    searches 358); every other power's 111 searches run on masks read off the
-    matrix."""
+    graph per spec and no other, finds each spec's diameter once (by BFS, with
+    no distance matrix), builds one matrix per spec with an r >= 2, and runs no
+    search for a complete power.  ``max_clique`` answers each r = 1 (28 of
+    those graphs are complete, so it searches 358); every other power's 111
+    searches run on masks read off the matrix."""
     calls = Counter()
     for module, name in [
         (nourish, "generate"),
+        (nourish, "diameter"),
         (graphcore, "all_pairs_distance"),
         (graphcore, "max_clique"),
         (graphcore, "_search"),
@@ -271,7 +272,8 @@ def test_default_grid_work_is_pinned(monkeypatch):
     assert calls == {}
     reconcile(runs)
     assert calls == {
-        "generate": 386, "Graph": 386, "all_pairs_distance": 771, "max_clique": 386, "_search": 469}
+        "generate": 386, "Graph": 386, "diameter": 386, "all_pairs_distance": 385, "max_clique": 386,
+        "_search": 469}
 
 
 def _counted(calls: Counter, name: str, real, *args):
